@@ -7,6 +7,7 @@ followed by a read is bit-exact.
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,7 +100,8 @@ def read_table(path, columns):
     """Read the named numeric columns; returns an (n, len(columns)) array.
 
     Rows are kept in file order; any missing or non-numeric field raises
-    NonNumericCell with the 1-based data row index.
+    NonNumericCell with the 1-based data row index. Values are gathered
+    in one flat float64 buffer, 8 bytes a cell, and reshaped once.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -113,15 +115,14 @@ def read_table(path, columns):
             if name not in header:
                 raise MissingColumn(f"column {name!r} not in header {header}")
             idx.append(header.index(name))
-        rows = []
+        wanted = list(zip(columns, idx))
+        values = array("d")
         for r, record in enumerate(reader, start=1):
-            vals = []
-            for name, j in zip(columns, idx):
+            for name, j in wanted:
                 cell = record[j] if j < len(record) else None
-                vals.append(_parse_cell(cell, r, name))
-            rows.append(vals)
-    if rows:
-        return np.asarray(rows, dtype=float)
+                values.append(_parse_cell(cell, r, name))
+    if values:
+        return np.frombuffer(values, dtype=float).reshape(-1, len(columns))
     return np.empty((0, len(columns)), dtype=float)
 
 

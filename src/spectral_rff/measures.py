@@ -23,7 +23,9 @@ stationary map, or a pair of draws for the nonstationary map.
 """
 
 import base64
+import binascii
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -455,8 +457,18 @@ def _encode_array(a):
 
 
 def _decode_array(obj):
-    raw = base64.b64decode(obj["data"].encode("ascii"))
-    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
+    """Inverse of _encode_array; a malformed object raises InvalidSpec."""
+    shape, data = (obj.get("shape"), obj.get("data")) if isinstance(obj, dict) else (None, None)
+    if not (isinstance(shape, list) and isinstance(data, str)
+            and all(type(s) is int and s >= 0 for s in shape)):
+        raise InvalidSpec("encoded array needs a 'shape' list of sizes and a 'data' string")
+    try:
+        raw = base64.b64decode(data.encode("ascii"), validate=True)
+    except (UnicodeEncodeError, binascii.Error):
+        raise InvalidSpec("encoded array data is not base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise InvalidSpec(f"encoded array data does not fill shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
 def bank_to_json_dict(bank):
@@ -471,12 +483,14 @@ def bank_to_json_dict(bank):
 
 
 def bank_from_json_dict(obj):
-    if obj.get("kind") != "frequency_bank":
+    if not isinstance(obj, dict) or obj.get("kind") != "frequency_bank":
         raise InvalidSpec("not a frequency bank document")
-    omega1 = _decode_array(obj["omega1"])
+    if not isinstance(obj.get("stationary"), bool):
+        raise InvalidSpec("frequency bank needs a true/false 'stationary'")
+    omega1 = _decode_array(obj.get("omega1"))
     if obj["stationary"]:
         return FrequencyBank(omega1, stationary=True)
-    return FrequencyBank(omega1, _decode_array(obj["omega2"]), stationary=False)
+    return FrequencyBank(omega1, _decode_array(obj.get("omega2")), stationary=False)
 
 
 def save_bank(path, bank):

@@ -27,16 +27,19 @@ in the fit/predict path ever materializes an n x n matrix.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .data import StandardizationStats
-from .errors import DimensionMismatch, InvalidParams, SchemaMismatch
+from .errors import (DimensionMismatch, InvalidParams, InvalidSpec,
+                     SchemaMismatch)
 from .features import (NONSTATIONARY, STATIONARY, dense_kernel_gate,
                        features_for_mode, ridge_multiplier)
-from .measures import bank_from_json_dict, bank_to_json_dict
+from .measures import (_decode_array, _encode_array, bank_from_json_dict,
+                       bank_to_json_dict)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -44,6 +47,14 @@ MODEL_FORMAT_VERSION = 1
 # the hard floor below which the dense oracle refuses to run.
 SIGMA_N2_FLOOR = 1e-10
 DIRECT_SIGMA_N2_MIN = 1e-12
+
+# predict() works through row chunks whose n x 2m feature block takes
+# about this many bytes; 8 MiB is about 3,300 rows at m = 150. Chunk
+# sizes are multiples of PREDICT_CHUNK_ALIGN rows: BLAS blocks rows in
+# small groups, and aligned chunks keep every row in the same group as
+# in a single whole-block call.
+PREDICT_CHUNK_BYTES = 8 * 2 ** 20
+PREDICT_CHUNK_ALIGN = 256
 
 
 @dataclass
@@ -168,33 +179,49 @@ def dense_conditioning(k_train, k_cross, k_star_diag, y, sigma_n2):
     return mean, var
 
 
+def _chunk_rows(m):
+    """Rows per predict chunk: the most whose n x 2m feature block fits in
+    PREDICT_CHUNK_BYTES, rounded down to a multiple of PREDICT_CHUNK_ALIGN."""
+    rows = PREDICT_CHUNK_BYTES // (2 * m * 8)
+    return max(PREDICT_CHUNK_ALIGN, rows - rows % PREDICT_CHUNK_ALIGN)
+
+
+def _chunk_moments(state, x):
+    """Predictive mean and |R^-1 p|^2 for each row of one chunk.
+
+    A function of its own so the chunk's feature block and solve are
+    freed before the next chunk's are built.
+    """
+    phi = features_for_mode(x, state.bank, state.mode).phi
+    v = linalg.solve_lower(state.r, phi.T)
+    np.square(v, out=v)
+    return phi @ state.alpha2, np.sum(v, axis=0)
+
+
 def predict(state, x_star):
     """Posterior predictive mean and variance at new inputs.
 
-    Runs in O(n_star m^2); the variance solves one triangular system per
-    point (vectorized over points).
+    Runs in O(n_star m^2) time. x_star is walked in row chunks whose
+    feature block holds about PREDICT_CHUNK_BYTES, so the working memory
+    is O(chunk m) on top of the length-n_star outputs, however many rows
+    are asked for. Chunk starts sit on multiples of PREDICT_CHUNK_ALIGN
+    rows, so BLAS groups every row as in one whole-block pass; with
+    OpenBLAS the result is bitwise equal to that pass.
     """
     x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
     if x_star.shape[1] != state.bank.dim:
         raise DimensionMismatch(
             f"inputs have dimension {x_star.shape[1]}, model has {state.bank.dim}")
-    if x_star.shape[0] == 0:
-        return np.empty(0), np.empty(0)
-    phi = features_for_mode(x_star, state.bank, state.mode).phi
-    mean = phi @ state.alpha2
-    v = linalg.solve_lower(state.r, phi.T)
-    var = state.hyper.sigma_n2 * (1.0 + np.sum(v * v, axis=0))
+    n = x_star.shape[0]
+    mean = np.empty(n)
+    var = np.empty(n)
+    rows = _chunk_rows(state.bank.m)
+    for lo in range(0, n, rows):
+        mean[lo:lo + rows], var[lo:lo + rows] = _chunk_moments(
+            state, x_star[lo:lo + rows])
+    var += 1.0
+    var *= state.hyper.sigma_n2
     return mean, var
-
-
-def _encode_array(a):
-    from .measures import _encode_array as enc
-    return enc(a)
-
-
-def _decode_array(obj):
-    from .measures import _decode_array as dec
-    return dec(obj)
 
 
 def save_model(path, state):
@@ -224,31 +251,106 @@ def save_model(path, state):
         fh.write("\n")
 
 
+def _field(doc, key, where):
+    if not isinstance(doc, dict):
+        raise SchemaMismatch(f"model file: {where} is not an object")
+    if key not in doc:
+        raise SchemaMismatch(f"model file: {where} has no {key!r}")
+    return doc[key]
+
+
+def _finite(value, name):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaMismatch(f"model file: {name} is not a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaMismatch(f"model file: {name} is not finite")
+    return value
+
+
+def _log_variance(hp, key):
+    """A log-variance whose variance is finite and positive."""
+    value = _finite(_field(hp, key, "hyperparams"), key)
+    if not -700.0 < value < 700.0:   # exp under- or overflows beyond here
+        raise SchemaMismatch(f"model file: {key} = {value} gives a variance "
+                             f"that is zero or infinite")
+    return value
+
+
+def _finite_list(value, name, length):
+    if not isinstance(value, list) or len(value) != length:
+        raise SchemaMismatch(f"model file: {name} is not a list of length {length}")
+    return np.array([_finite(v, name) for v in value])
+
+
+def _finite_array(obj, name, shape):
+    try:
+        a = _decode_array(obj)
+    except InvalidSpec as exc:
+        raise SchemaMismatch(f"model file: {name}: {exc}") from None
+    if a.shape != shape:
+        raise SchemaMismatch(f"model file: {name} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise SchemaMismatch(f"model file: {name} is not finite")
+    return a
+
+
 def load_model(path):
+    """Read a model written by save_model, checking every field first.
+
+    A missing key, a wrong length or shape, a non-finite value, or an r
+    that is not lower-triangular with a positive diagonal raises
+    SchemaMismatch, so a damaged file never reaches predict.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    version = doc.get("format_version")
+    version = _field(doc, "format_version", "document")
     if version != MODEL_FORMAT_VERSION:
         raise SchemaMismatch(f"unsupported model format version {version!r}")
-    mode = doc["mode"]
+    mode = _field(doc, "mode", "document")
     if mode not in (STATIONARY, NONSTATIONARY):
         raise SchemaMismatch(f"unknown mode {mode!r}")
+    try:
+        bank = bank_from_json_dict(_field(doc, "bank", "document"))
+    except InvalidSpec as exc:
+        raise SchemaMismatch(f"model file: bank: {exc}") from None
+    if mode == STATIONARY and not bank.stationary:
+        raise SchemaMismatch("model file: stationary mode needs a stationary bank")
+    k, dim = 2 * bank.m, bank.dim
+
+    hp = _field(doc, "hyperparams", "document")
+    hyper = Hyperparams(_log_variance(hp, "log_sigma_f2"),
+                        _log_variance(hp, "log_sigma_n2"))
+
+    fit = _field(doc, "fit", "document")
+    r = _finite_array(_field(fit, "r", "fit"), "r", (k, k))
+    if not np.all(np.diagonal(r) > 0.0) or np.any(np.triu(r, 1)):
+        raise SchemaMismatch("model file: r is not lower-triangular with a "
+                             "positive diagonal")
+    alpha1 = _finite_array(_field(fit, "alpha1", "fit"), "alpha1", (k,))
+    alpha2 = _finite_array(_field(fit, "alpha2", "fit"), "alpha2", (k,))
+    jitter = _finite(fit.get("jitter", 0.0), "jitter")
+
     stats = None
-    if doc.get("standardization"):
-        st = doc["standardization"]
-        stats = StandardizationStats(np.asarray(st["input_mean"], dtype=float),
-                                     np.asarray(st["input_std"], dtype=float),
-                                     float(st["output_mean"]),
-                                     float(st["output_std"]))
-    hyper = Hyperparams(float(doc["hyperparams"]["log_sigma_f2"]),
-                        float(doc["hyperparams"]["log_sigma_n2"]))
-    fit = doc["fit"]
-    return FitState(_decode_array(fit["r"]),
-                    _decode_array(fit["alpha1"]).ravel(),
-                    _decode_array(fit["alpha2"]).ravel(),
-                    hyper,
-                    bank_from_json_dict(doc["bank"]),
-                    mode,
-                    float(fit.get("jitter", 0.0)),
-                    stats,
-                    doc.get("input_columns"))
+    st = doc.get("standardization")
+    if st is not None:
+        def part(key, length=None):
+            value = _field(st, key, "standardization")
+            if length is None:
+                return _finite(value, key)
+            return _finite_list(value, key, length)
+
+        stats = StandardizationStats(part("input_mean", dim), part("input_std", dim),
+                                     part("output_mean"), part("output_std"))
+        if not (np.all(stats.input_std > 0.0) and stats.output_std > 0.0):
+            raise SchemaMismatch("model file: standard deviations must be positive")
+
+    columns = doc.get("input_columns")
+    if columns is not None and not (
+            isinstance(columns, list) and len(columns) == dim
+            and all(isinstance(c, str) for c in columns)):
+        raise SchemaMismatch(f"model file: input_columns is not a list of {dim} names")
+    return FitState(r, alpha1, alpha2, hyper, bank, mode, jitter, stats, columns)

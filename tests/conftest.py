@@ -1,6 +1,19 @@
-"""Shared helpers: random model instances and exact GP draws."""
+"""Shared helpers: random model instances and exact GP draws.
 
-import numpy as np
+BLAS runs on one thread unless the environment says otherwise. The
+suite's matrices are small (at most a few hundred columns), where
+OpenBLAS threads cost more than they give: one learned chirp fit of
+criterion 8 takes about 42 s with two threads on two cores and under
+30 s with one. It also keeps the suite's numbers independent of the
+core count. The variables must be set before numpy is first imported.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from spectral_rff.features import NONSTATIONARY, STATIONARY

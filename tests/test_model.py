@@ -1,5 +1,7 @@
 """Reduced-system inference checked against the dense O(n^3) oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from spectral_rff.errors import (DimensionMismatch, InvalidParams,
 from spectral_rff.features import (NONSTATIONARY, STATIONARY, KernelScale,
                                    features_for_mode, forbid_dense_kernel,
                                    kernel_cross, kernel_estimate)
-from spectral_rff.linalg import seeded_rng
-from spectral_rff.measures import GaussianSE, sample_stationary
+from spectral_rff.linalg import seeded_rng, solve_lower
+from spectral_rff.measures import FrequencyBank, GaussianSE, sample_stationary
 from spectral_rff.model import (Hyperparams, dense_conditioning, fit_state,
                                 load_model, log_marginal_likelihood_direct,
                                 log_marginal_likelihood_reduced, predict,
@@ -148,6 +150,60 @@ def test_predict_empty_input_returns_empty():
     assert mean.shape == (0,) and var.shape == (0,)
     with pytest.raises(DimensionMismatch):
         predict(state, np.zeros((2, x.shape[1] + 1)))
+
+
+def wide_state(mode, m=150, d=2, seed=707):
+    rng = seeded_rng(seed)
+    omega1 = 3.0 * rng.standard_normal((m, d))
+    if mode == STATIONARY:
+        bank = FrequencyBank(omega1, stationary=True)
+    else:
+        bank = FrequencyBank(omega1, 3.0 * rng.standard_normal((m, d)),
+                             stationary=False)
+    x = rng.uniform(-1.0, 1.0, size=(200, d))
+    y = np.sin(3.0 * x[:, 0]) + 0.1 * rng.standard_normal(200)
+    hyper = Hyperparams.from_variances(1.0, 0.01)
+    return fit_state(features_for_mode(x, bank, mode), y, hyper, bank), rng
+
+
+def test_chunk_rows_are_aligned_and_fill_the_budget():
+    for m in (1, 7, 150, 600, 5000):
+        rows = model._chunk_rows(m)
+        assert rows % model.PREDICT_CHUNK_ALIGN == 0 and rows >= model.PREDICT_CHUNK_ALIGN
+        if rows > model.PREDICT_CHUNK_ALIGN:
+            assert rows * 2 * m * 8 <= model.PREDICT_CHUNK_BYTES
+            assert (rows + model.PREDICT_CHUNK_ALIGN) * 2 * m * 8 > model.PREDICT_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("mode", [STATIONARY, NONSTATIONARY])
+def test_chunked_predict_matches_one_whole_block_pass(mode):
+    state, rng = wide_state(mode)
+    rows = model._chunk_rows(state.bank.m)
+    n_star = 3 * rows + rows // 3 + 5   # three full chunks and a ragged fourth
+    x_star = rng.uniform(-1.5, 1.5, size=(n_star, state.bank.dim))
+    mean, var = predict(state, x_star)
+    # the predictor written out on all rows at once
+    phi = features_for_mode(x_star, state.bank, mode).phi
+    v = solve_lower(state.r, phi.T)
+    mean_ref = phi @ state.alpha2
+    var_ref = state.hyper.sigma_n2 * (1.0 + np.sum(v * v, axis=0))
+    np.testing.assert_allclose(mean, mean_ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(mean_ref)))
+    np.testing.assert_allclose(var, var_ref, rtol=1e-12, atol=0.0)
+
+
+def test_predict_peak_memory_is_a_chunk_not_the_whole_feature_block():
+    state, rng = wide_state(NONSTATIONARY, d=1)
+    n_star = 50_000
+    x_star = rng.uniform(-1.5, 1.5, size=(n_star, 1))
+    tracemalloc.start()
+    try:
+        predict(state, x_star)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = n_star * 2 * state.bank.m * 8
+    assert peak < block / 4, f"peak {peak / 1e6:.1f} MB, block {block / 1e6:.1f} MB"
 
 
 def test_model_round_trip_reproduces_predictions_bitwise(tmp_path):
