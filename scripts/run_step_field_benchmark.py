@@ -14,8 +14,20 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from spectral_rff import benchmarks, cli, data  # noqa: E402
+from spectral_rff.training import MODES  # noqa: E402
 
 ANCHORS = "0.25,0.5;0.5,0.5;0.75,0.5"
+
+
+def refit_argv(cfg, csv_path, out_dir):
+    """`spectral-rff fit` arguments that train with the arm config cfg."""
+    return ["fit", "--data", csv_path, "--mode", MODES[cfg.mode].token,
+            "--m", str(cfg.m), "--lr", repr(cfg.learning_rate),
+            "--max-steps", str(cfg.max_steps), "--patience", str(cfg.patience),
+            "--eval-every", str(cfg.eval_every),
+            "--val-frac", repr(cfg.validation_fraction),
+            "--sigma-p", repr(cfg.dropout_sigma_p), "--seed", str(cfg.seed),
+            "--out-dir", out_dir]
 
 
 def main():
@@ -42,18 +54,14 @@ def main():
 
     csv_path = os.path.join(args.out, "field.csv")
     data.save_dataset_csv(csv_path, bench)
-    jobs = (("nonstationary", str(max(1, args.m // 2)), "0.1", "ns"),
-            ("stationary-fixed", str(args.m), "0.05", "st"))
-    for mode, m, lr, sub in jobs:
-        out_dir = os.path.join(args.out, sub)
-        cli.main(["fit", "--data", csv_path, "--mode", mode, "--m", m,
-                  "--lr", lr, "--max-steps", str(args.max_steps),
-                  "--patience", "10", "--eval-every", "25", "--seed", "0",
-                  "--out-dir", out_dir])
+    for cfg in configs.values():
+        token = MODES[cfg.mode].token
+        out_dir = os.path.join(args.out, token)
+        cli.main(refit_argv(cfg, csv_path, out_dir))
         cli.main(["kernel-dump", "--model", os.path.join(out_dir, "model.json"),
                   "--anchors", ANCHORS, "--window", "0.2", "--count", "21",
                   "--out-dir", out_dir])
-        print(f"{mode}: anchor fields in {out_dir}/kernel_anchor*.pgm")
+        print(f"{token}: anchor fields in {out_dir}/kernel_anchor*.pgm")
 
 
 if __name__ == "__main__":

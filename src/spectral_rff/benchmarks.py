@@ -16,10 +16,11 @@ import numpy as np
 from .data import (Dataset, destandardize_predictions, split, standardize,
                    standardize_inputs)
 from .errors import ConstantVector, DimensionMismatch, InvalidSpec
+from .features import BANKS
 from .linalg import cholesky, seeded_rng
 from .model import predict
-from .training import (NONSTATIONARY_LEARNED, STATIONARY_FIXED, TrainConfig,
-                       train)
+from .training import (MODES, NONSTATIONARY_LEARNED, STATIONARY_FIXED,
+                       TrainConfig, train)
 
 # dense sampling of the 2-d field is cubic in n; keep it desk-sized
 _STEP_MAX_N = 1500
@@ -164,41 +165,36 @@ class ComparisonReport:
                          f"{format(self.mean_corr(arm), '.17g')},{secs:.6f}\n")
 
 
-def _trainable_entries(config, d):
-    if config.mode == STATIONARY_FIXED:
-        return 0
-    if config.mode == NONSTATIONARY_LEARNED:
-        return 2 * config.m * d
-    return config.m * d
-
-
 def _budget_note(configs, d):
     parts = []
     rows = {}
     for arm, cfg in configs.items():
-        n_rows = cfg.m * (2 if cfg.mode == NONSTATIONARY_LEARNED else 1)
-        rows[arm] = n_rows
+        mode = MODES[cfg.mode]
+        rows[arm] = cfg.m * BANKS[mode.features]
         parts.append(f"{arm}: mode={cfg.mode} m={cfg.m} "
-                     f"frequency_rows={n_rows} "
-                     f"trainable_entries={_trainable_entries(cfg, d)}")
+                     f"frequency_rows={rows[arm]} "
+                     f"trainable_entries={cfg.m * d * len(mode.trained)}")
     lo, hi = min(rows.values()), max(rows.values())
     factor = hi / lo if lo else float("inf")
     return ("frequency budget -- " + "; ".join(parts)
             + f"; row budget factor {factor:.2f}")
 
 
-def run_single(dataset, config, seed, train_fraction=0.7, spec_init=None):
-    """One split/train/predict/score pass; returns (mse, corr, seconds)."""
-    train_ds, test_ds = split(dataset, train_fraction, seed)
+def fit_and_score(dataset, config, train_fraction=0.7, spec_init=None):
+    """Split on config.seed, train, and score the held-out part in data units.
+
+    Returns (state, trace, mse, corr, seconds); seconds times ``train`` only.
+    """
+    train_ds, test_ds = split(dataset, train_fraction, config.seed)
     train_std, stats = standardize(train_ds)
-    cfg = replace(config, seed=seed)
     t0 = time.perf_counter()
-    state, _ = train(train_std, cfg, spec_init=spec_init)
+    state, trace = train(train_std, config, spec_init=spec_init)
     seconds = time.perf_counter() - t0
+    state.standardization = stats
     mean_std, var_std = predict(state, standardize_inputs(test_ds.x, stats))
     mean, _ = destandardize_predictions(mean_std, var_std, stats)
     mse, corr = metrics(test_ds.y, mean)
-    return mse, corr, seconds
+    return state, trace, mse, corr, seconds
 
 
 def compare(bench, runs, configs, train_fraction=0.7):
@@ -217,7 +213,8 @@ def compare(bench, runs, configs, train_fraction=0.7):
     for run in range(runs):
         seed = int(1000 * run)
         for arm, cfg in configs.items():
-            mse, corr, seconds = run_single(bench, cfg, seed, train_fraction)
+            _, _, mse, corr, seconds = fit_and_score(
+                bench, replace(cfg, seed=seed), train_fraction)
             report.records.append(
                 RunRecord(run, seed, arm, mse, corr, seconds))
     return report

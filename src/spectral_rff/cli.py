@@ -19,13 +19,6 @@ from .errors import InvalidSpec, NumericalError, SchemaMismatch, SpectralRffErro
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-# public mode tokens -> trainer mode names
-_MODE_TOKENS = {
-    "stationary-fixed": "stationary_fixed",
-    "stationary": "stationary_learned",
-    "nonstationary": "nonstationary_learned",
-}
-
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -153,31 +146,37 @@ def _metrics_line(mse, corr):
 
 
 def cmd_fit(args):
-    from . import data, model
-    from .benchmarks import metrics
-    from .training import TrainConfig, train
+    from . import model
+    from .benchmarks import fit_and_score
+    from .training import MODES, TrainConfig
 
     dataset = _load_dataset(args)
-    train_ds, test_ds = data.split(dataset, args.split, args.seed)
-    train_std, stats = data.standardize(train_ds)
-    config = TrainConfig(mode=_MODE_TOKENS[args.mode], m=args.m,
+    mode = next(name for name, m in MODES.items() if m.token == args.mode)
+    config = TrainConfig(mode=mode, m=args.m,
                          learning_rate=args.lr, max_steps=args.max_steps,
                          patience=args.patience, eval_every=args.eval_every,
                          validation_fraction=args.val_frac,
                          dropout_sigma_p=args.sigma_p, seed=args.seed)
-    spec_init = _resolve_spec(args.spec, train_std.dim)
+    spec_init = _resolve_spec(args.spec, dataset.dim)
     _log(f"fit: {dataset.n} rows, dim {dataset.dim}, mode {args.mode}, m {args.m}")
-    state, trace = train(train_std, config, spec_init=spec_init)
-    state.standardization = stats
-    mean_std, var_std = model.predict(state, data.standardize_inputs(test_ds.x, stats))
-    mean, _ = data.destandardize_predictions(mean_std, var_std, stats)
-    mse, corr = metrics(test_ds.y, mean)
+    state, trace, mse, corr, _ = fit_and_score(dataset, config, args.split, spec_init)
     _outdir(args)
     model.save_model(_out(args, "model.json"), state)
     trace.to_csv(_out(args, "trace.csv"))
     _log(f"fit: stopped after {len(trace.train_neg_lml)} steps ({trace.stop_reason})")
     print(_metrics_line(mse, corr))
     return 0
+
+
+def _predict_data_units(state, x):
+    """Predictive mean and variance at raw inputs, in the data's units."""
+    from . import data, model
+
+    st = state.standardization
+    if st is None:
+        return model.predict(state, x)
+    mean, var = model.predict(state, data.standardize_inputs(x, st))
+    return data.destandardize_predictions(mean, var, st)
 
 
 def cmd_predict(args):
@@ -195,12 +194,7 @@ def cmd_predict(args):
     if x.shape[1] != state.bank.dim:
         raise SchemaMismatch(f"model expects {state.bank.dim} input columns, "
                              f"file provides {x.shape[1]}")
-    xs = x
-    if state.standardization is not None:
-        xs = data.standardize_inputs(x, state.standardization)
-    mean, var = model.predict(state, xs)
-    if state.standardization is not None:
-        mean, var = data.destandardize_predictions(mean, var, state.standardization)
+    mean, var = _predict_data_units(state, x)
     _outdir(args)
     data.write_predictions_csv(_out(args, "predictions.csv"), x, mean, var, cols)
     _log(f"predict: wrote {x.shape[0]} rows")
@@ -230,12 +224,7 @@ def cmd_grid(args):
         raise SchemaMismatch(f"model expects {state.bank.dim} grid axes, "
                              f"got {len(spec.counts)}")
     x = data.make_grid(spec)
-    xs = x
-    if state.standardization is not None:
-        xs = data.standardize_inputs(x, state.standardization)
-    mean, var = model.predict(state, xs)
-    if state.standardization is not None:
-        mean, var = data.destandardize_predictions(mean, var, state.standardization)
+    mean, var = _predict_data_units(state, x)
     cols = state.input_columns or [f"x{i + 1}" for i in range(state.bank.dim)]
     _outdir(args)
     data.write_predictions_csv(_out(args, "grid.csv"), x, mean, var, cols)
@@ -368,6 +357,8 @@ def _add_data_flags(p, required):
 
 
 def build_parser():
+    from .training import MODES
+
     parser = _Parser(prog="spectral-rff",
                      description="Reduced-rank Gaussian process regression "
                                  "with trainable random Fourier features.")
@@ -376,13 +367,15 @@ def build_parser():
 
     p = sub.add_parser("fit", help="train a model and score a held-out split")
     _add_data_flags(p, required=True)
-    p.add_argument("--mode", default="nonstationary", choices=sorted(_MODE_TOKENS))
+    p.add_argument("--mode", default="nonstationary",
+                   choices=sorted(mode.token for mode in MODES.values()))
     p.add_argument("--m", type=int, default=100,
                    help="frequencies per bank (pairs count once)")
     p.add_argument("--spec", default=None,
-                   help="initial measure, e.g. se:0.3 or matern:1.5, or a "
-                        "JSON file; default: Gaussian with median-heuristic "
-                        "lengthscales")
+                   help="initial measure, e.g. se:0.3 or matern:1.5, a "
+                        "measure JSON file, or a bank JSON from spectrum "
+                        "used as the initial bank; default: Gaussian with "
+                        "median-heuristic lengthscales")
     p.add_argument("--sigma-p", type=float, default=0.05,
                    help="Gaussian dropout level on frequencies")
     p.add_argument("--lr", type=float, default=1e-3)

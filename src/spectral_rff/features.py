@@ -21,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, kv
 
-from .data import write_matrix_csv, write_pgm
 from .errors import (DimensionMismatch, InvalidParams, ModeNormalizerMismatch,
                      UnsupportedSpec)
 from .measures import GaussianSE, LaplacianCauchy, MaternT
 
 STATIONARY = "stationary"
 NONSTATIONARY = "nonstationary"
+# frequency banks each feature map sums
+BANKS = {STATIONARY: 1, NONSTATIONARY: 2}
 
 _dense_kernels_allowed = True
 
@@ -55,6 +56,12 @@ class FeatureMatrix:
     mode: str
 
 
+def _banks(mode):
+    if mode not in BANKS:
+        raise ValueError(f"unknown feature mode {mode!r}")
+    return BANKS[mode]
+
+
 def _as_inputs(x, bank):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != bank.dim:
@@ -63,38 +70,50 @@ def _as_inputs(x, bank):
     return x
 
 
-def stationary_features(x, bank):
-    if not bank.stationary:
+def trig_blocks(x, bank, mode):
+    """Yield (cos X W', sin X W') for each bank the mode's map sums.
+
+    A block pair is dropped here once the caller asks for the next one.
+    """
+    banks = _banks(mode)
+    if banks == 1 and not bank.stationary:
         raise ValueError("stationary features need a stationary bank")
     x = _as_inputs(x, bank)
-    p = x @ bank.omega1.T
-    return FeatureMatrix(np.hstack([np.cos(p), np.sin(p)]), bank.m, STATIONARY)
+    for omega in (bank.omega1, bank.omega2)[:banks]:
+        p = x @ omega.T
+        c = np.cos(p)
+        yield c, np.sin(p, out=p)
+        del c, p
 
 
-def nonstationary_features(x, bank):
-    x = _as_inputs(x, bank)
-    p1 = x @ bank.omega1.T
-    p2 = x @ bank.omega2.T
-    return FeatureMatrix(np.hstack([np.cos(p1) + np.cos(p2),
-                                    np.sin(p1) + np.sin(p2)]),
-                         bank.m, NONSTATIONARY)
+def sum_blocks(blocks, m, mode):
+    """Feature matrix [sum of cos blocks, sum of sin blocks].
+
+    Fed straight from trig_blocks, it holds one bank's blocks at a time.
+    """
+    blocks = iter(blocks)
+    phi = np.hstack(next(blocks))
+    for c, s in blocks:
+        phi[:, :m] += c
+        phi[:, m:] += s
+    return FeatureMatrix(phi, m, mode)
 
 
 def features_for_mode(x, bank, mode):
-    if mode == STATIONARY:
-        return stationary_features(x, bank)
-    if mode == NONSTATIONARY:
-        return nonstationary_features(x, bank)
-    raise ValueError(f"unknown feature mode {mode!r}")
+    return sum_blocks(trig_blocks(x, bank, mode), bank.m, mode)
+
+
+def stationary_features(x, bank):
+    return features_for_mode(x, bank, STATIONARY)
+
+
+def nonstationary_features(x, bank):
+    return features_for_mode(x, bank, NONSTATIONARY)
 
 
 def ridge_multiplier(m, mode):
     """Feature count entering the weight-space ridge: m or 4m."""
-    if mode == STATIONARY:
-        return float(m)
-    if mode == NONSTATIONARY:
-        return 4.0 * m
-    raise ValueError(f"unknown feature mode {mode!r}")
+    return float(m * _banks(mode) ** 2)
 
 
 @dataclass(frozen=True)
@@ -107,7 +126,7 @@ class KernelScale:
     def __post_init__(self):
         if not (np.isfinite(self.sigma_f2) and self.sigma_f2 > 0):
             raise InvalidParams("sigma_f2 must be finite and positive")
-        if self.mode not in (STATIONARY, NONSTATIONARY):
+        if self.mode not in BANKS:
             raise InvalidParams(f"unknown mode {self.mode!r}")
 
     def normalizer(self, m):
@@ -117,10 +136,7 @@ class KernelScale:
 def kernel_estimate(phi, scale):
     """n x n kernel induced by a feature block. Test/export scale only."""
     dense_kernel_gate()
-    if scale.mode != phi.mode:
-        raise ModeNormalizerMismatch(
-            f"scale normalizer is for {scale.mode} features, phi is {phi.mode}")
-    return (scale.sigma_f2 * scale.normalizer(phi.m)) * (phi.phi @ phi.phi.T)
+    return kernel_cross(phi, phi, scale)
 
 
 def kernel_cross(phi_a, phi_b, scale):
@@ -131,11 +147,6 @@ def kernel_cross(phi_a, phi_b, scale):
         raise ModeNormalizerMismatch(
             f"scale normalizer is for {scale.mode} features, phi is {phi_a.mode}")
     return (scale.sigma_f2 * scale.normalizer(phi_a.m)) * (phi_a.phi @ phi_b.phi.T)
-
-
-def closed_form_kernel(spec, x1, x2):
-    """Exact kernel dual to a named measure, evaluated at one pair."""
-    return float(kernel_matrix(spec, np.atleast_2d(x1), np.atleast_2d(x2))[0, 0])
 
 
 def kernel_matrix(spec, xa, xb):
@@ -164,9 +175,3 @@ def kernel_matrix(spec, xa, xb):
         out[nz] = np.exp(log_c + lam * np.log(rnz)) * kv(lam, rnz)
         return out
     raise UnsupportedSpec(f"no closed-form kernel for {type(spec).__name__}")
-
-
-def export_covariance(basepath, k):
-    """Write a covariance matrix as <base>.csv and <base>.pgm."""
-    write_matrix_csv(str(basepath) + ".csv", k)
-    write_pgm(str(basepath) + ".pgm", k)

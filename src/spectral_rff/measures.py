@@ -16,7 +16,6 @@ Families:
                       kernel with that smoothness
 * MixtureOfGaussians, GaussianCopula, PerDimProduct -- composite measures
   for structured or dependent spectra
-* Empirical        -- a literal, already-sampled frequency bank
 
 A FrequencyBank holds one draw (m rows, one frequency per row) for the
 stationary map, or a pair of draws for the nonstationary map.
@@ -34,8 +33,8 @@ from scipy.stats import cauchy, norm
 from scipy.stats import t as student_t
 
 from . import linalg
-from .errors import (IncompatibleDims, InvalidSpec, NonMonotoneMarginal,
-                     UnsupportedSpec)
+from .errors import (FactorizationFailed, IncompatibleDims, InvalidSpec,
+                     NonMonotoneMarginal, NonSymmetric, UnsupportedSpec)
 
 
 def _positive_vector(values, name):
@@ -120,6 +119,12 @@ class MixtureOfGaussians:
             raise InvalidSpec("mixture weights must be nonnegative and sum to > 0")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(cov))):
             raise InvalidSpec("mixture parameters must be finite")
+        for c in cov:
+            try:
+                linalg.cholesky(c, jitter_ladder=(0.0,))
+            except (FactorizationFailed, NonSymmetric):
+                raise InvalidSpec("mixture covariances must be symmetric "
+                                  "positive definite") from None
         object.__setattr__(self, "weights", w / w.sum())
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
@@ -186,20 +191,9 @@ class PerDimProduct:
         return len(self.parts)
 
 
-@dataclass(frozen=True, eq=False)
-class Empirical:
-    """A literal bank of frequencies used as-is."""
-
-    bank: "FrequencyBank"
-
-    @property
-    def dim(self):
-        return self.bank.dim
-
-
 def _spec_dim(spec):
     if isinstance(spec, (GaussianSE, LaplacianCauchy, MixtureOfGaussians,
-                         GaussianCopula, PerDimProduct, Empirical)):
+                         GaussianCopula, PerDimProduct)):
         return spec.dim
     if isinstance(spec, MaternT):
         return None
@@ -316,11 +310,6 @@ def _draw(spec, m, d, rng):
         return gaussian_copula_transform(z, [quantile_fn(p) for p in spec.marginals])
     if isinstance(spec, PerDimProduct):
         return np.hstack([_draw(part, m, 1, rng) for part in spec.parts])
-    if isinstance(spec, Empirical):
-        if spec.bank.m != m or spec.bank.dim != d:
-            raise IncompatibleDims(
-                f"empirical bank is ({spec.bank.m}, {spec.bank.dim}), requested ({m}, {d})")
-        return spec.bank.omega1.copy()
     raise UnsupportedSpec(f"cannot sample from {type(spec).__name__}")
 
 
@@ -383,7 +372,7 @@ def spectral_density(spec, omega):
     """Density of ``spec`` at frequency row(s) ``omega``.
 
     Accepts a single (D,) point or a stack (k, D); returns a float or a
-    (k,) array accordingly. Not defined for Empirical banks.
+    (k,) array accordingly.
     """
     pts = np.asarray(omega, dtype=float)
     single = pts.ndim <= 1
@@ -442,8 +431,6 @@ def _density(spec, pts):
         log_det = 2.0 * np.sum(np.log(np.diagonal(root)))
         quad = np.sum(sol * sol, axis=0) - np.sum(z * z, axis=1)
         return np.exp(-0.5 * (quad + log_det)) * marg
-    if isinstance(spec, Empirical):
-        raise UnsupportedSpec("empirical banks have no density")
     raise UnsupportedSpec(f"no density for {type(spec).__name__}")
 
 
@@ -523,28 +510,58 @@ def spec_to_json_dict(spec):
     if isinstance(spec, PerDimProduct):
         return {"family": "per_dim_product",
                 "parts": [spec_to_json_dict(p) for p in spec.parts]}
-    if isinstance(spec, Empirical):
-        return {"family": "empirical", "bank": bank_to_json_dict(spec.bank)}
     raise UnsupportedSpec(f"cannot serialize {type(spec).__name__}")
 
 
+def _json_number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidSpec(f"{where} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidSpec(f"{where} is too large for a float") from None
+
+
+def _json_array(value, where):
+    """A number or nested lists of numbers as a float array."""
+    def walk(v):
+        return [walk(u) for u in v] if isinstance(v, list) else _json_number(v, where)
+    try:
+        return np.array(walk(value), dtype=float)
+    except ValueError:
+        raise InvalidSpec(f"{where} is a ragged array") from None
+
+
 def spec_from_json_dict(obj):
+    """Inverse of spec_to_json_dict; malformed input raises InvalidSpec."""
+    if not isinstance(obj, dict):
+        raise InvalidSpec(f"spectral measure must be a JSON object, got {type(obj).__name__}")
     family = obj.get("family")
+
+    def get(key, read):
+        if key not in obj:
+            raise InvalidSpec(f"{family} measure needs {key!r}")
+        return read(obj[key], f"{family} {key}")
+
+    def specs(value, where):
+        if not isinstance(value, list):
+            raise InvalidSpec(f"{where} must be a list of measures")
+        return tuple(spec_from_json_dict(p) for p in value)
+
     if family == "gaussian_se":
-        return GaussianSE(obj["lengthscales"])
+        return GaussianSE(get("lengthscales", _json_array))
     if family == "laplacian_cauchy":
-        return LaplacianCauchy(obj["scales"])
+        return LaplacianCauchy(get("scales", _json_array))
     if family == "matern_t":
-        return MaternT(obj["smoothness"], obj.get("scale", 1.0))
+        return MaternT(get("smoothness", _json_number),
+                       _json_number(obj.get("scale", 1.0), "matern_t scale"))
     if family == "mixture_of_gaussians":
-        return MixtureOfGaussians(obj["weights"], obj["means"], obj["covariances"])
+        return MixtureOfGaussians(get("weights", _json_array), get("means", _json_array),
+                                  get("covariances", _json_array))
     if family == "gaussian_copula":
-        return GaussianCopula(obj["correlation"],
-                              tuple(spec_from_json_dict(p) for p in obj["marginals"]))
+        return GaussianCopula(get("correlation", _json_array), get("marginals", specs))
     if family == "per_dim_product":
-        return PerDimProduct(tuple(spec_from_json_dict(p) for p in obj["parts"]))
-    if family == "empirical":
-        return Empirical(bank_from_json_dict(obj["bank"]))
+        return PerDimProduct(get("parts", specs))
     raise InvalidSpec(f"unknown spectral measure family {family!r}")
 
 

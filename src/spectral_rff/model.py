@@ -101,7 +101,8 @@ def reduced_core(phi, y, hyper):
     """Factor the reduced system and evaluate the log marginal likelihood.
 
     Returns a dict with r (Cholesky factor), alpha1, alpha2, ridge,
-    jitter and lml; shared by the public entry points and the trainer.
+    jitter, lml, |y|^2 (yy) and |alpha1|^2, |alpha2|^2 (a1_sq, a2_sq);
+    shared by the public entry points and the trainer.
     """
     y = np.asarray(y, dtype=float).ravel()
     mat = phi.phi
@@ -118,13 +119,14 @@ def reduced_core(phi, y, hyper):
     alpha2 = linalg.solve_upper(r.T, alpha1)
     sigma_n2 = hyper.sigma_n2
     yy = float(y @ y)
-    a1a1 = float(alpha1 @ alpha1)
-    lml = (-(yy - a1a1) / (2.0 * sigma_n2)
+    a1_sq = float(alpha1 @ alpha1)
+    lml = (-(yy - a1_sq) / (2.0 * sigma_n2)
            - float(np.sum(np.log(np.diagonal(r))))
            + m * np.log(ridge)
            - 0.5 * n * np.log(2.0 * np.pi * sigma_n2))
     return {"r": r, "alpha1": alpha1, "alpha2": alpha2, "ridge": ridge,
-            "jitter": jitter, "lml": float(lml), "yy": yy}
+            "jitter": jitter, "lml": float(lml), "yy": yy, "a1_sq": a1_sq,
+            "a2_sq": float(alpha2 @ alpha2)}
 
 
 def fit_state(phi, y, hyper, bank, standardization=None, input_columns=None):

@@ -29,6 +29,7 @@ and nothing noisy ever reaches validation scoring or the returned fit.
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -36,15 +37,26 @@ from scipy.linalg import solve_triangular
 from . import linalg, model
 from .data import Dataset
 from .errors import DegenerateSplit, NonFiniteLoss
-from .features import (NONSTATIONARY, STATIONARY, FeatureMatrix,
-                       features_for_mode, ridge_multiplier)
+from .features import (NONSTATIONARY, STATIONARY, features_for_mode,
+                       ridge_multiplier, sum_blocks, trig_blocks)
 from .measures import (FrequencyBank, GaussianSE, sample_nonstationary,
                        sample_stationary)
+
+
+class Mode(NamedTuple):
+    token: str       # command line spelling
+    features: str    # feature map, as saved in model.json
+    trained: tuple   # frequency parameters ADAM updates, one per bank
+
 
 STATIONARY_FIXED = "stationary_fixed"
 STATIONARY_LEARNED = "stationary_learned"
 NONSTATIONARY_LEARNED = "nonstationary_learned"
-MODES = (STATIONARY_FIXED, STATIONARY_LEARNED, NONSTATIONARY_LEARNED)
+MODES = {
+    STATIONARY_FIXED: Mode("stationary-fixed", STATIONARY, ()),
+    STATIONARY_LEARNED: Mode("stationary", STATIONARY, ("omega",)),
+    NONSTATIONARY_LEARNED: Mode("nonstationary", NONSTATIONARY, ("omega1", "omega2")),
+}
 
 # exp() overflows double precision just above 709; beyond this the
 # objective is treated as diverged.
@@ -68,7 +80,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if not self.learning_rate > 0:
@@ -86,7 +98,7 @@ class TrainConfig:
 
     @property
     def feature_mode(self):
-        return NONSTATIONARY if self.mode == NONSTATIONARY_LEARNED else STATIONARY
+        return MODES[self.mode].features
 
 
 @dataclass
@@ -164,60 +176,43 @@ def median_heuristic_lengthscales(x, max_rows=1000):
     return out
 
 
+def log_variance_grads(ridge, sigma_n2, yy, a1_sq, a2_sq, tr_g, m, n):
+    """dL/du and dL/dv of the module docstring, keyed by parameter name."""
+    fit = ridge * a2_sq / (2.0 * sigma_n2)
+    trace = 0.5 * ridge * tr_g
+    return {"log_sigma_f2": fit + trace - m,
+            "log_sigma_n2": (yy - a1_sq) / (2.0 * sigma_n2) - fit - trace + m - 0.5 * n}
+
+
 def lml_gradient(x, y, bank, hyper, mode):
     """Reduced log marginal likelihood and its analytic gradients.
 
     Returns (lml, grads, info). ``grads`` has log_sigma_f2 and
-    log_sigma_n2 entries always, plus omega (stationary_learned) or
-    omega1/omega2 (nonstationary_learned); stationary_fixed carries no
-    frequency gradients at all. ``info`` reports the jitter used.
+    log_sigma_n2 entries always, plus one per key of the mode's
+    ``trained`` tuple; stationary_fixed carries no frequency gradients
+    at all. ``info`` reports the jitter used.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
     if mode not in MODES:
         raise ValueError(f"unknown training mode {mode!r}")
+    fmode, trained = MODES[mode].features, MODES[mode].trained
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
     m = bank.m
-    if mode == NONSTATIONARY_LEARNED:
-        p1 = x @ bank.omega1.T
-        p2 = x @ bank.omega2.T
-        c1, s1 = np.cos(p1), np.sin(p1)
-        c2, s2 = np.cos(p2), np.sin(p2)
-        phi_arr = np.hstack([c1 + c2, s1 + s2])
-        fmode = NONSTATIONARY
-    else:
-        if not bank.stationary:
-            raise ValueError("stationary modes need a stationary bank")
-        p = x @ bank.omega1.T
-        c, s = np.cos(p), np.sin(p)
-        phi_arr = np.hstack([c, s])
-        fmode = STATIONARY
-    phi = FeatureMatrix(phi_arr, m, fmode)
+    blocks = list(trig_blocks(x, bank, fmode))
+    phi = sum_blocks(blocks, m, fmode)
     core = model.reduced_core(phi, y, hyper)
-    r_chol, alpha1, alpha2 = core["r"], core["alpha1"], core["alpha2"]
-    ridge, sigma_n2 = core["ridge"], hyper.sigma_n2
-    n = y.shape[0]
-
+    r_chol, alpha2 = core["r"], core["alpha2"]
     rinv = solve_triangular(r_chol, np.eye(2 * m), lower=True, check_finite=False)
-    tr_g = float(np.sum(rinv * rinv))
-    a1_sq = float(alpha1 @ alpha1)
-    a2_sq = float(alpha2 @ alpha2)
-    grads = {
-        "log_sigma_f2": ridge * a2_sq / (2.0 * sigma_n2) + 0.5 * ridge * tr_g - m,
-        "log_sigma_n2": ((core["yy"] - a1_sq) / (2.0 * sigma_n2)
-                         - ridge * a2_sq / (2.0 * sigma_n2)
-                         - 0.5 * ridge * tr_g + m - 0.5 * n),
-    }
-    if mode != STATIONARY_FIXED:
-        w = linalg.solve_lower(r_chol, phi_arr.T)
+    grads = log_variance_grads(core["ridge"], hyper.sigma_n2, core["yy"], core["a1_sq"],
+                               core["a2_sq"], float(np.sum(rinv * rinv)), m, y.shape[0])
+    if trained:
+        w = linalg.solve_lower(r_chol, phi.phi.T)
         phi_g = linalg.solve_upper(r_chol.T, w).T
-        resid = y - phi_arr @ alpha2
-        phibar = np.outer(resid, alpha2) / sigma_n2 - phi_g
+        resid = y - phi.phi @ alpha2
+        phibar = np.outer(resid, alpha2) / hyper.sigma_n2 - phi_g
         cbar, sbar = phibar[:, :m], phibar[:, m:]
-        if mode == STATIONARY_LEARNED:
-            grads["omega"] = (sbar * c - cbar * s).T @ x
-        else:
-            grads["omega1"] = (sbar * c1 - cbar * s1).T @ x
-            grads["omega2"] = (sbar * c2 - cbar * s2).T @ x
+        for key, (c, s) in zip(trained, blocks):
+            grads[key] = (sbar * c - cbar * s).T @ x
     return core["lml"], grads, {"jitter": core["jitter"]}
 
 
@@ -249,19 +244,13 @@ class _FixedBankObjective:
             return -math.inf, None
         b2 = self.btilde * self.btilde
         a1_sq = float(np.sum(b2 / d))
-        a2_sq = float(np.sum(b2 / (d * d)))
-        tr_g = float(np.sum(1.0 / d))
         lml = (-(self.yy - a1_sq) / (2.0 * sigma_n2)
                - 0.5 * float(np.sum(np.log(d)))
                + self.m * math.log(ridge)
                - 0.5 * self.n * math.log(2.0 * math.pi * sigma_n2))
-        grads = {
-            "log_sigma_f2": ridge * a2_sq / (2.0 * sigma_n2) + 0.5 * ridge * tr_g - self.m,
-            "log_sigma_n2": ((self.yy - a1_sq) / (2.0 * sigma_n2)
-                             - ridge * a2_sq / (2.0 * sigma_n2)
-                             - 0.5 * ridge * tr_g + self.m - 0.5 * self.n),
-        }
-        return lml, grads
+        return lml, log_variance_grads(ridge, sigma_n2, self.yy, a1_sq,
+                                       float(np.sum(b2 / (d * d))),
+                                       float(np.sum(1.0 / d)), self.m, self.n)
 
     def value(self, hyper):
         return self.value_and_grads(hyper)[0]
@@ -297,29 +286,29 @@ def adam_step(params, loss_grads, state, config):
 
 def _initial_bank(spec_init, x, config, rng):
     d = x.shape[1]
+    pairs = config.feature_mode == NONSTATIONARY
     if isinstance(spec_init, FrequencyBank):
         bank = spec_init
-        if config.mode == NONSTATIONARY_LEARNED and bank.stationary:
+        if pairs and bank.stationary:
             return FrequencyBank(bank.omega1.copy(), bank.omega1.copy(),
                                  stationary=False)
-        if config.mode != NONSTATIONARY_LEARNED and not bank.stationary:
+        if not pairs and not bank.stationary:
             raise ValueError("stationary modes need a stationary initial bank")
         return bank.copy()
     spec = spec_init
     if spec is None:
         spec = GaussianSE(median_heuristic_lengthscales(x))
-    if config.mode == NONSTATIONARY_LEARNED:
+    if pairs:
         return sample_nonstationary(spec, spec, config.m, d, rng)
     return sample_stationary(spec, config.m, d, rng)
 
 
 def _bank_from_params(params, template, mode):
-    if mode == STATIONARY_FIXED:
+    keys = MODES[mode].trained
+    if not keys:
         return template
-    if mode == STATIONARY_LEARNED:
-        return FrequencyBank(np.array(params["omega"]), stationary=True)
-    return FrequencyBank(np.array(params["omega1"]), np.array(params["omega2"]),
-                         stationary=False)
+    return FrequencyBank(*(np.array(params[k]) for k in keys),
+                         stationary=len(keys) == 1)
 
 
 def _check_hyper_params(params, trace):
@@ -367,14 +356,11 @@ def train(dataset, config, spec_init=None):
 
     params = {"log_sigma_f2": hyper.log_sigma_f2,
               "log_sigma_n2": hyper.log_sigma_n2}
-    if config.mode == STATIONARY_LEARNED:
-        params["omega"] = bank0.omega1.copy()
-    elif config.mode == NONSTATIONARY_LEARNED:
-        params["omega1"] = bank0.omega1.copy()
-        params["omega2"] = bank0.omega2.copy()
+    for key, omega in zip(MODES[config.mode].trained, (bank0.omega1, bank0.omega2)):
+        params[key] = omega.copy()
     adam_state = adam_init(params)
 
-    fixed_fast = config.mode == STATIONARY_FIXED and config.dropout_sigma_p == 0.0
+    fixed_fast = not MODES[config.mode].trained and config.dropout_sigma_p == 0.0
     if fixed_fast:
         train_obj = _FixedBankObjective(x_tr, y_tr, bank0, config.feature_mode)
         val_obj = _FixedBankObjective(x_val, y_val, bank0, config.feature_mode)
@@ -398,25 +384,22 @@ def train(dataset, config, spec_init=None):
             noisy = apply_gaussian_dropout(bank, config.dropout_sigma_p, rng_noise)
             value, lml_grads, info = lml_gradient(x_tr, y_tr, noisy, hyper, config.mode)
             jitter = info["jitter"]
-        if not math.isfinite(value):
-            trace.train_neg_lml.append(math.inf)
-            trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
-            raise NonFiniteLoss(f"objective became non-finite at step {step}", trace)
-        if any(not np.all(np.isfinite(g)) for g in lml_grads.values()):
-            trace.train_neg_lml.append(-value)
-            trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
-            raise NonFiniteLoss(f"gradient became non-finite at step {step}", trace)
-        trace.train_neg_lml.append(-value)
-        if jitter > 0.0:
-            trace.jitter_events.append((step, jitter))
+        neg_lml = -value if math.isfinite(value) else math.inf
+        # one record per step on every exit path keeps the lists aligned
+        try:
+            if not math.isfinite(value):
+                raise NonFiniteLoss(f"objective became non-finite at step {step}", trace)
+            if any(not np.all(np.isfinite(g)) for g in lml_grads.values()):
+                raise NonFiniteLoss(f"gradient became non-finite at step {step}", trace)
+            if jitter > 0.0:
+                trace.jitter_events.append((step, jitter))
 
-        loss_grads = {k: -np.asarray(g, dtype=float) for k, g in lml_grads.items()}
-        params, adam_state = adam_step(params, loss_grads, adam_state, config)
-        params["log_sigma_f2"] = float(params["log_sigma_f2"])
-        params["log_sigma_n2"] = max(float(params["log_sigma_n2"]), log_floor)
+            loss_grads = {k: -np.asarray(g, dtype=float) for k, g in lml_grads.items()}
+            params, adam_state = adam_step(params, loss_grads, adam_state, config)
+            params["log_sigma_f2"] = float(params["log_sigma_f2"])
+            params["log_sigma_n2"] = max(float(params["log_sigma_n2"]), log_floor)
 
-        if step % config.eval_every == 0:
-            try:
+            if step % config.eval_every == 0:
                 _check_hyper_params(params, trace)
                 hyper_now = model.Hyperparams(float(params["log_sigma_f2"]),
                                               float(params["log_sigma_n2"]))
@@ -428,19 +411,16 @@ def train(dataset, config, spec_init=None):
                     val_lml = model.log_marginal_likelihood_reduced(phi_val, y_val, hyper_now)
                 if not math.isfinite(val_lml):
                     raise NonFiniteLoss(f"validation objective non-finite at step {step}", trace)
-            except NonFiniteLoss:
-                # keep the per-step lists the same length before escaping
-                trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
-                raise
-            trace.val_history.append((step, -val_lml))
-            if stopper.update(-val_lml):
-                best_params = {k: np.array(v) if isinstance(v, np.ndarray) else v
-                               for k, v in params.items()}
-            if stopper.should_stop:
-                trace.stop_reason = "patience"
-                trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
-                break
-        trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
+                trace.val_history.append((step, -val_lml))
+                if stopper.update(-val_lml):
+                    best_params = {k: np.array(v) if isinstance(v, np.ndarray) else v
+                                   for k, v in params.items()}
+                if stopper.should_stop:
+                    trace.stop_reason = "patience"
+                    break
+        finally:
+            trace.train_neg_lml.append(neg_lml)
+            trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
 
     chosen = best_params if best_params is not None else params
     hyper_best = model.Hyperparams(float(chosen["log_sigma_f2"]),

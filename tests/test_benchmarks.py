@@ -1,19 +1,23 @@
 """Synthetic generators, metrics and the arm-comparison report."""
 
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spectral_rff import benchmarks
+from spectral_rff import benchmarks, cli
 from spectral_rff.benchmarks import (ComparisonReport, RunRecord,
                                      SyntheticSpec, chirp_arm_configs,
-                                     compare, gen_chirp,
+                                     compare, fit_and_score, gen_chirp,
                                      gen_step_lengthscale, metrics,
-                                     run_single, step_field_arm_configs,
+                                     step_field_arm_configs,
                                      step_field_covariance)
 from spectral_rff.errors import (ConstantVector, DimensionMismatch,
                                  InvalidSpec)
-from spectral_rff.training import (NONSTATIONARY_LEARNED, STATIONARY_FIXED,
-                                   TrainConfig)
+from spectral_rff.training import (MODES, NONSTATIONARY_LEARNED,
+                                   STATIONARY_FIXED, TrainConfig)
 
 
 def test_chirp_is_the_documented_function_of_time():
@@ -121,14 +125,19 @@ def tiny_config(mode, seed=0):
                        seed=seed)
 
 
-def test_run_single_overrides_the_config_seed():
+def test_fit_and_score_is_seeded_and_compare_overrides_the_seed():
     ds = gen_chirp(SyntheticSpec("chirp", n=80))
     cfg = tiny_config(STATIONARY_FIXED, seed=99)
-    a = run_single(ds, cfg, seed=3)
-    b = run_single(ds, cfg, seed=3)
-    assert a[0] == b[0] and a[1] == b[1]
-    assert np.isfinite(a[0]) and -1.0 <= a[1] <= 1.0
-    assert a[2] >= 0.0
+    state, trace, mse, corr, seconds = fit_and_score(ds, replace(cfg, seed=3))
+    again = fit_and_score(ds, replace(cfg, seed=3))
+    assert again[2:4] == (mse, corr)
+    assert np.isfinite(mse) and -1.0 <= corr <= 1.0 and seconds >= 0.0
+    assert state.standardization is not None
+    assert len(trace.train_neg_lml) == cfg.max_steps
+    # run r of compare scores the config with its seed replaced by 1000 r
+    rows = compare(ds, 2, {"a": cfg}).records
+    assert (rows[1].mse, rows[1].corr) == \
+        fit_and_score(ds, replace(cfg, seed=1000))[2:4]
 
 
 def test_compare_gives_identical_rows_for_identical_arms(tmp_path):
@@ -184,3 +193,17 @@ def test_arm_builders_split_a_common_frequency_budget(builder, m_total):
     note = benchmarks._budget_note(configs, 1)
     assert "row budget factor 1.00" in note
     assert f"m={m_total}" in note and "trainable_entries=0" in note
+
+
+def test_step_field_script_refits_each_arm_with_its_frozen_config():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_step_field_benchmark.py"
+    spec = importlib.util.spec_from_file_location("run_step_field_benchmark", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for cfg in step_field_arm_configs().values():
+        args = cli.build_parser().parse_args(script.refit_argv(cfg, "f.csv", "out"))
+        assert args.mode == MODES[cfg.mode].token
+        assert (args.m, args.lr, args.max_steps, args.patience, args.eval_every,
+                args.val_frac, args.sigma_p, args.seed) == \
+            (cfg.m, cfg.learning_rate, cfg.max_steps, cfg.patience, cfg.eval_every,
+             cfg.validation_fraction, cfg.dropout_sigma_p, cfg.seed)

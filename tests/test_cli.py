@@ -1,11 +1,16 @@
 """End-to-end command line coverage through main(argv)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from spectral_rff import cli, data, measures
 from spectral_rff.errors import InvalidSpec
-from spectral_rff.linalg import seeded_rng
+from spectral_rff.features import STATIONARY
+from spectral_rff.linalg import seeded_rng, spawn_rngs
+from spectral_rff.model import load_model
+from spectral_rff.training import MODES
 
 
 def run_cli(argv):
@@ -50,6 +55,23 @@ def test_fit_writes_model_trace_and_metrics(sine_csv, tmp_path, capsys):
     trace_lines = (out / "trace.csv").read_text().splitlines()
     assert trace_lines[0] == "step,train_neg_lml,val_neg_lml,wall_ms"
     assert len(trace_lines) == 1 + 15
+
+
+@pytest.mark.parametrize("name", sorted(MODES))
+def test_every_mode_token_fits_its_feature_map(name, sine_csv, tmp_path):
+    mode = MODES[name]
+    out = tmp_path / "run"
+    assert run_cli(fit_args(sine_csv, out, extra=["--mode", mode.token,
+                                                  "--spec", "se:0.3"])) == 0
+    doc = json.loads((out / "model.json").read_text())
+    assert doc["mode"] == mode.features
+    assert doc["bank"]["stationary"] == (mode.features == STATIONARY)
+    if not mode.trained:
+        # the bank is the seed's initial draw; train's second stream draws it
+        init = measures.sample_stationary(measures.GaussianSE([0.3]), 8, 1,
+                                          spawn_rngs(3, 3)[1])
+        np.testing.assert_array_equal(load_model(out / "model.json").bank.omega1,
+                                      init.omega1)
 
 
 def test_fit_is_deterministic_up_to_wall_clock(sine_csv, tmp_path):

@@ -1,17 +1,19 @@
 """Feature-map geometry: normalizers, reductions, invariances, PSD."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spectral_rff import features, measures
+from spectral_rff import measures
 from spectral_rff.errors import (DimensionMismatch, InvalidParams,
                                  ModeNormalizerMismatch, UnsupportedSpec)
 from spectral_rff.features import (NONSTATIONARY, STATIONARY, KernelScale,
-                                   closed_form_kernel, forbid_dense_kernel,
-                                   features_for_mode, kernel_cross,
-                                   kernel_estimate, kernel_matrix,
-                                   nonstationary_features, ridge_multiplier,
-                                   stationary_features)
+                                   forbid_dense_kernel, features_for_mode,
+                                   kernel_cross, kernel_estimate,
+                                   kernel_matrix, nonstationary_features,
+                                   ridge_multiplier, stationary_features,
+                                   trig_blocks)
 from spectral_rff.linalg import seeded_rng
 from spectral_rff.measures import (FrequencyBank, GaussianSE, LaplacianCauchy,
                                    MaternT, sample_nonstationary,
@@ -101,17 +103,21 @@ def test_monte_carlo_kernel_converges_to_closed_form(spec, bound):
     assert float(np.max(np.abs(k_hat - kernel_matrix(spec, x, x)))) < bound
 
 
+def closed_form(spec, x1, x2):
+    return float(kernel_matrix(spec, [x1], [x2])[0, 0])
+
+
 def test_closed_form_hand_values():
-    assert closed_form_kernel(GaussianSE([1.0]), [0.0], [1.0]) == \
+    assert closed_form(GaussianSE([1.0]), [0.0], [1.0]) == \
         pytest.approx(np.exp(-0.5), rel=1e-12)
-    assert closed_form_kernel(LaplacianCauchy([1.0]), [0.0], [1.0]) == \
+    assert closed_form(LaplacianCauchy([1.0]), [0.0], [1.0]) == \
         pytest.approx(np.exp(-1.0), rel=1e-12)
-    assert closed_form_kernel(MaternT(0.5, 1.0), [0.0], [1.0]) == \
+    assert closed_form(MaternT(0.5, 1.0), [0.0], [1.0]) == \
         pytest.approx(np.exp(-1.0), rel=1e-9)
     r = np.sqrt(3.0)
-    assert closed_form_kernel(MaternT(1.5, 1.0), [0.0], [1.0]) == \
+    assert closed_form(MaternT(1.5, 1.0), [0.0], [1.0]) == \
         pytest.approx((1.0 + r) * np.exp(-r), rel=1e-9)
-    assert closed_form_kernel(MaternT(1.5, 1.0), [0.3], [0.3]) == 1.0
+    assert closed_form(MaternT(1.5, 1.0), [0.3], [0.3]) == 1.0
 
 
 def test_kernel_matrix_rejects_unsupported_specs():
@@ -187,9 +193,29 @@ def test_dense_kernel_guard_blocks_square_builds(rng):
     kernel_estimate(fs, scale)
 
 
-def test_export_covariance_writes_csv_and_pgm(tmp_path):
-    k = np.array([[1.0, 0.5], [0.5, 1.0]])
-    base = tmp_path / "cov"
-    features.export_covariance(base, k)
-    assert (tmp_path / "cov.csv").exists()
-    assert (tmp_path / "cov.pgm").read_bytes().startswith(b"P5")
+def test_feature_map_is_the_sum_of_its_trig_blocks(rng):
+    st, ns = make_banks(m=6)
+    x = rng.standard_normal((5, 2))
+    for bank, mode, count in ((st, STATIONARY, 1), (ns, NONSTATIONARY, 2)):
+        blocks = list(trig_blocks(x, bank, mode))
+        assert len(blocks) == count
+        phi = features_for_mode(x, bank, mode).phi
+        np.testing.assert_array_equal(phi[:, :6], sum(c for c, _ in blocks))
+        np.testing.assert_array_equal(phi[:, 6:], sum(s for _, s in blocks))
+    with pytest.raises(DimensionMismatch):
+        list(trig_blocks(np.zeros((2, 3)), ns, NONSTATIONARY))
+
+
+def test_nonstationary_map_peak_memory_is_two_feature_blocks():
+    # the map holds phi plus one bank's cos and sin blocks at a time
+    rng = np.random.default_rng(5)
+    bank = FrequencyBank(rng.standard_normal((150, 1)),
+                         rng.standard_normal((150, 1)), stationary=False)
+    x = rng.standard_normal((3328, 1))
+    tracemalloc.start()
+    try:
+        phi = features_for_mode(x, bank, NONSTATIONARY).phi
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * phi.nbytes

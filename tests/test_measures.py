@@ -14,16 +14,18 @@ from scipy import integrate
 from scipy import stats
 
 from spectral_rff import measures
-from spectral_rff.errors import (IncompatibleDims, InvalidSpec,
-                                 NonMonotoneMarginal, UnsupportedSpec)
-from spectral_rff.features import kernel_matrix
+from spectral_rff.errors import (DimensionMismatch, IncompatibleDims,
+                                 InvalidSpec, NonMonotoneMarginal,
+                                 UnsupportedSpec)
+from spectral_rff.features import STATIONARY, features_for_mode, kernel_matrix
 from spectral_rff.linalg import seeded_rng
-from spectral_rff.measures import (Empirical, FrequencyBank, GaussianCopula,
+from spectral_rff.measures import (FrequencyBank, GaussianCopula,
                                    GaussianSE, LaplacianCauchy, MaternT,
                                    MixtureOfGaussians, PerDimProduct,
                                    gaussian_copula_transform, quantile_fn,
                                    sample_nonstationary, sample_stationary,
                                    spectral_density, student_t_spec)
+from spectral_rff.training import STATIONARY_LEARNED, TrainConfig, _initial_bank
 
 
 def dual_kernel_by_quadrature(spec, delta):
@@ -158,14 +160,24 @@ def test_nonstationary_pair_with_twin_streams_collapses():
 
 
 def test_empirical_sampling_returns_a_copy():
+    # a literal bank is given to training as spec_init, which uses a copy of
+    # it; a bank is not a measure to sample from, and one of the wrong
+    # dimension is refused by the feature map
     base = FrequencyBank(np.arange(6.0).reshape(3, 2), stationary=True)
-    drawn = sample_stationary(Empirical(base), 3, 2, seeded_rng(0))
+    config = TrainConfig(mode=STATIONARY_LEARNED, m=3)
+    drawn = _initial_bank(base, np.zeros((4, 2)), config, seeded_rng(0))
     np.testing.assert_array_equal(drawn.omega1, base.omega1)
     assert drawn.omega1 is not base.omega1
-    with pytest.raises(IncompatibleDims):
-        sample_stationary(Empirical(base), 4, 2, seeded_rng(0))
-    with pytest.raises(IncompatibleDims):
-        sample_stationary(Empirical(base), 3, 1, seeded_rng(0))
+    with pytest.raises(UnsupportedSpec):
+        sample_stationary(base, 3, 2, seeded_rng(0))
+    with pytest.raises(DimensionMismatch):
+        features_for_mode(np.zeros((4, 1)), base, STATIONARY)
+
+
+def test_empirical_has_no_density():
+    bank = FrequencyBank(np.ones((2, 2)), stationary=True)
+    with pytest.raises(UnsupportedSpec):
+        spectral_density(bank, np.ones(2))
 
 
 def test_dimension_mismatch_is_rejected():
@@ -284,7 +296,6 @@ def test_bank_round_trip_is_bit_exact(tmp_path, rng):
     GaussianCopula(np.array([[1.0, 0.3], [0.3, 1.0]]),
                    (GaussianSE([1.0]), MaternT(1.5))),
     PerDimProduct((GaussianSE([1.0]), LaplacianCauchy([2.0]))),
-    Empirical(FrequencyBank(np.arange(4.0).reshape(2, 2), stationary=True)),
 ])
 def test_spec_round_trip(tmp_path, spec):
     path = tmp_path / "spec.json"
@@ -293,9 +304,8 @@ def test_spec_round_trip(tmp_path, spec):
     assert type(loaded) is type(spec)
     rng_a, rng_b = seeded_rng(21), seeded_rng(21)
     d = spec.dim if spec.dim is not None else 2
-    m = spec.bank.m if isinstance(spec, Empirical) else 7
-    a = sample_stationary(spec, m, d, rng_a).omega1
-    b = sample_stationary(loaded, m, d, rng_b).omega1
+    a = sample_stationary(spec, 7, d, rng_a).omega1
+    b = sample_stationary(loaded, 7, d, rng_b).omega1
     np.testing.assert_array_equal(a, b)
 
 
@@ -312,12 +322,6 @@ def test_gaussian_spec_round_trip_property(lengthscales):
 def test_unknown_family_rejected():
     with pytest.raises(InvalidSpec):
         measures.spec_from_json_dict({"family": "whatever"})
-
-
-def test_empirical_has_no_density():
-    bank = FrequencyBank(np.ones((2, 2)), stationary=True)
-    with pytest.raises(UnsupportedSpec):
-        spectral_density(Empirical(bank), np.ones(2))
 
 
 def test_invalid_parameters_rejected():
