@@ -117,18 +117,12 @@ def _parse_named_measure(token, dim):
 
 def _resolve_spec(token, dim):
     """Map a --spec value to a measure, a frequency bank, or None."""
-    import json
-
-    from . import measures
+    from .measures import load_spec
 
     if token is None:
         return None
     if os.path.exists(token) or token.endswith(".json"):
-        with open(token, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict) and "omega1" in doc:
-            return measures.bank_from_json_dict(doc)
-        return measures.spec_from_json_dict(doc)
+        return load_spec(token)
     return _parse_named_measure(token, dim)
 
 

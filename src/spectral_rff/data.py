@@ -8,12 +8,15 @@ followed by a read is bit-exact.
 import csv
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConstantColumn, DegenerateSplit, EmptyFile,
-                     MissingColumn, NonNumericCell)
+                     MalformedCsv, MissingColumn, NonNumericCell)
+
+# rows the table writers format per write, which bounds their working memory
+WRITE_CHUNK_ROWS = 4096
 
 
 def _fmt(v):
@@ -96,6 +99,20 @@ def _parse_cell(cell, row_idx, column):
     return value
 
 
+def _csv_records(fh, path):
+    """The stripped header row of an open CSV file, then its records; a
+    parser error, such as an oversized field, becomes one MalformedCsv line."""
+    try:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise EmptyFile(f"{path} has no header row")
+        yield [h.strip() for h in header]
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedCsv(f"{path}: {exc}") from None
+
+
 def read_table(path, columns):
     """Read the named numeric columns; returns an (n, len(columns)) array.
 
@@ -104,12 +121,8 @@ def read_table(path, columns):
     in one flat float64 buffer, 8 bytes a cell, and reshaped once.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path} has no header row") from None
-        header = [h.strip() for h in header]
+        reader = _csv_records(fh, path)
+        header = next(reader)
         idx = []
         for name in columns:
             if name not in header:
@@ -128,11 +141,7 @@ def read_table(path, columns):
 
 def csv_header(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise EmptyFile(f"{path} has no header row") from None
-    return [h.strip() for h in header]
+        return next(_csv_records(fh, path))
 
 
 def load_csv(path, input_columns, output_column):
@@ -145,12 +154,22 @@ def load_csv(path, input_columns, output_column):
     return Dataset(table[:, :-1], table[:, -1], list(input_columns), output_column)
 
 
-def save_dataset_csv(path, dataset):
+def _write_table(path, header, columns):
+    """``columns``, (n,) or (n, k) arrays side by side, under a csv.writer
+    header; rows are formatted WRITE_CHUNK_ROWS at a time, so the whole
+    table is never stacked or turned into Python floats at once."""
+    n = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.input_columns) + [dataset.output_column])
-        for xi, yi in zip(dataset.x, dataset.y):
-            writer.writerow([_fmt(v) for v in xi] + [_fmt(yi)])
+        csv.writer(fh).writerow(header)
+        for lo in range(0, n, WRITE_CHUNK_ROWS):
+            chunk = np.column_stack([c[lo:lo + WRITE_CHUNK_ROWS] for c in columns])
+            row = ",".join(["%.17g"] * chunk.shape[1]) + "\r\n"
+            fh.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
+def save_dataset_csv(path, dataset):
+    _write_table(path, list(dataset.input_columns) + [dataset.output_column],
+                 [dataset.x, dataset.y])
 
 
 def standardize(dataset):
@@ -221,11 +240,7 @@ def write_matrix_csv(path, matrix):
 
 def write_predictions_csv(path, x, mean, variance, input_columns):
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(input_columns) + ["mean", "variance"])
-        for i in range(x.shape[0]):
-            writer.writerow([_fmt(v) for v in x[i]] + [_fmt(mean[i]), _fmt(variance[i])])
+    _write_table(path, list(input_columns) + ["mean", "variance"], [x, mean, variance])
 
 
 def write_pgm(path, matrix):

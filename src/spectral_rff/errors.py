@@ -76,6 +76,10 @@ class EmptyFile(SpectralRffError):
     pass
 
 
+class MalformedCsv(SpectralRffError):
+    pass
+
+
 class ConstantColumn(SpectralRffError):
     pass
 

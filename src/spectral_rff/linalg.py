@@ -27,13 +27,6 @@ def spawn_rngs(seed, n):
             for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def standard_normal(rng, rows, cols):
-    """rows x cols matrix of i.i.d. N(0, 1) draws from ``rng``."""
-    if rows < 1 or cols < 1:
-        raise DimensionMismatch(f"requested empty sample shape ({rows}, {cols})")
-    return rng.standard_normal((rows, cols))
-
-
 def cholesky(a, jitter_ladder=JITTER_LADDER):
     """Lower-triangular R with R @ R.T = a + jitter * I.
 
@@ -66,38 +59,32 @@ def cholesky(a, jitter_ladder=JITTER_LADDER):
         f"Cholesky failed for all jitter rungs {tuple(jitter_ladder)}")
 
 
-def _check_triangular(r, lower):
+def _triangular_solve(r, b, lower):
+    """Solve r x = b after checking that r is square and triangular with a
+    positive diagonal and that b has one row per row of r."""
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise NonSquare(f"triangular factor must be square, got shape {r.shape}")
-    diag = np.diagonal(r)
-    if not np.all(diag > 0.0):
+    if not np.all(np.diagonal(r) > 0.0):
         raise ValueError("triangular factor must have a strictly positive diagonal")
-    off = np.triu(r, 1) if lower else np.tril(r, -1)
-    if np.any(off != 0.0):
+    if np.any((np.triu(r, 1) if lower else np.tril(r, -1)) != 0.0):
         kind = "upper" if lower else "lower"
         raise ValueError(f"{kind} part of triangular factor must be zero")
-    return r
-
-
-def solve_lower(r, b):
-    """Solve R x = b for lower-triangular R by forward substitution."""
-    r = _check_triangular(r, lower=True)
     b = np.asarray(b, dtype=float)
     if b.shape[0] != r.shape[0]:
         raise DimensionMismatch(
             f"rhs has leading dimension {b.shape[0]}, factor is {r.shape[0]}")
-    return solve_triangular(r, b, lower=True, check_finite=False)
+    return solve_triangular(r, b, lower=lower, check_finite=False)
+
+
+def solve_lower(r, b):
+    """Solve R x = b for lower-triangular R by forward substitution."""
+    return _triangular_solve(r, b, lower=True)
 
 
 def solve_upper(rt, b):
     """Solve R.T x = b where ``rt`` is the transpose of a lower factor."""
-    rt = _check_triangular(rt, lower=False)
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != rt.shape[0]:
-        raise DimensionMismatch(
-            f"rhs has leading dimension {b.shape[0]}, factor is {rt.shape[0]}")
-    return solve_triangular(rt, b, lower=False, check_finite=False)
+    return _triangular_solve(rt, b, lower=False)
 
 
 def gram(phi):

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 from scipy.stats import cauchy, norm
 from scipy.stats import t as student_t
 
@@ -192,11 +191,9 @@ class PerDimProduct:
 
 
 def _spec_dim(spec):
-    if isinstance(spec, (GaussianSE, LaplacianCauchy, MixtureOfGaussians,
+    if isinstance(spec, (GaussianSE, LaplacianCauchy, MaternT, MixtureOfGaussians,
                          GaussianCopula, PerDimProduct)):
         return spec.dim
-    if isinstance(spec, MaternT):
-        return None
     raise UnsupportedSpec(f"unknown spectral measure {type(spec).__name__}")
 
 
@@ -206,14 +203,6 @@ def student_t_spec(degrees_of_freedom, scale=1.0):
     Expressed through MaternT via smoothness = dof / 2.
     """
     return MaternT(smoothness=degrees_of_freedom / 2.0, scale=scale)
-
-
-def separable_space_time_spec(space_lengthscales=(1.0, 1.0), time_dof=0.5,
-                              time_scale=1.0):
-    """Gaussian marginals on spatial dims, Student-t on a trailing time dim."""
-    parts = [GaussianSE([l]) for l in np.atleast_1d(space_lengthscales)]
-    parts.append(student_t_spec(time_dof, time_scale))
-    return PerDimProduct(tuple(parts))
 
 
 @dataclass(eq=False)
@@ -266,15 +255,13 @@ def sample_stationary(spec, m, d, rng):
     return FrequencyBank(_draw(spec, m, d, rng), stationary=True)
 
 
-def sample_nonstationary(spec1, spec2, m, d, rng, rng2=None):
+def sample_nonstationary(spec1, spec2, m, d, rng):
     """Draw the frequency pair (omega1, omega2) for the nonstationary map.
 
-    With ``rng2`` omitted both draws consume the one stream in order.
-    Passing two generators seeded identically (and spec1 == spec2) gives
-    omega1 == omega2, which collapses the map to the stationary one.
+    Both draws consume the one stream in order, omega1 first.
     """
     omega1 = _draw(spec1, m, d, rng)
-    omega2 = _draw(spec2, m, d, rng if rng2 is None else rng2)
+    omega2 = _draw(spec2, m, d, rng)
     return FrequencyBank(omega1, omega2, stationary=False)
 
 
@@ -284,32 +271,35 @@ def _draw(spec, m, d, rng):
     sd = _spec_dim(spec)
     if sd is not None and sd != d:
         raise IncompatibleDims(f"spec has dimension {sd}, requested {d}")
-    if isinstance(spec, GaussianSE):
-        return linalg.standard_normal(rng, m, d) / spec.lengthscales
-    if isinstance(spec, LaplacianCauchy):
-        return rng.standard_cauchy((m, d)) * spec.scales
-    if isinstance(spec, MaternT):
-        nu = 2.0 * spec.smoothness
-        z = linalg.standard_normal(rng, m, d)
-        g = rng.chisquare(nu, size=m)
-        return z / (spec.scale * np.sqrt(g / nu))[:, None]
-    if isinstance(spec, MixtureOfGaussians):
-        comps = rng.choice(spec.weights.size, size=m, p=spec.weights)
-        z = linalg.standard_normal(rng, m, d)
-        out = np.empty((m, d))
-        for k in range(spec.weights.size):
-            sel = comps == k
-            if not np.any(sel):
-                continue
-            root, _ = linalg.cholesky(spec.covariances[k])
-            out[sel] = spec.means[k] + z[sel] @ root.T
-        return out
-    if isinstance(spec, GaussianCopula):
-        root, _ = linalg.cholesky(spec.correlation)
-        z = linalg.standard_normal(rng, m, d) @ root.T
-        return gaussian_copula_transform(z, [quantile_fn(p) for p in spec.marginals])
-    if isinstance(spec, PerDimProduct):
-        return np.hstack([_draw(part, m, 1, rng) for part in spec.parts])
+    # extreme parameters may overflow to inf: FrequencyBank refuses those
+    # frequencies in one line, so numpy's own warnings are kept quiet
+    with np.errstate(all="ignore"):
+        if isinstance(spec, GaussianSE):
+            return rng.standard_normal((m, d)) / spec.lengthscales
+        if isinstance(spec, LaplacianCauchy):
+            return rng.standard_cauchy((m, d)) * spec.scales
+        if isinstance(spec, MaternT):
+            nu = 2.0 * spec.smoothness
+            z = rng.standard_normal((m, d))
+            g = rng.chisquare(nu, size=m)
+            return z / (spec.scale * np.sqrt(g / nu))[:, None]
+        if isinstance(spec, MixtureOfGaussians):
+            comps = rng.choice(spec.weights.size, size=m, p=spec.weights)
+            z = rng.standard_normal((m, d))
+            out = np.empty((m, d))
+            for k in range(spec.weights.size):
+                sel = comps == k
+                if not np.any(sel):
+                    continue
+                root, _ = linalg.cholesky(spec.covariances[k])
+                out[sel] = spec.means[k] + z[sel] @ root.T
+            return out
+        if isinstance(spec, GaussianCopula):
+            root, _ = linalg.cholesky(spec.correlation)
+            z = rng.standard_normal((m, d)) @ root.T
+            return gaussian_copula_transform(z, [quantile_fn(p) for p in spec.marginals])
+        if isinstance(spec, PerDimProduct):
+            return np.hstack([_draw(part, m, 1, rng) for part in spec.parts])
     raise UnsupportedSpec(f"cannot sample from {type(spec).__name__}")
 
 
@@ -368,74 +358,44 @@ def cdf_fn(spec):
     raise UnsupportedSpec(f"no cdf for {type(spec).__name__}")
 
 
-def spectral_density(spec, omega):
-    """Density of ``spec`` at frequency row(s) ``omega``.
-
-    Accepts a single (D,) point or a stack (k, D); returns a float or a
-    (k,) array accordingly.
-    """
-    pts = np.asarray(omega, dtype=float)
-    single = pts.ndim <= 1
-    pts = np.atleast_2d(pts)
-    sd = _spec_dim(spec)
-    if sd is not None and pts.shape[1] != sd:
-        raise IncompatibleDims(f"points have dimension {pts.shape[1]}, spec has {sd}")
-    vals = _density(spec, pts)
-    return float(vals[0]) if single else vals
-
-
-def _density(spec, pts):
-    d = pts.shape[1]
-    if isinstance(spec, GaussianSE):
-        z = pts * spec.lengthscales
-        log_p = -0.5 * np.sum(z * z, axis=1) - 0.5 * d * np.log(2.0 * np.pi) \
-            + np.sum(np.log(spec.lengthscales))
-        return np.exp(log_p)
-    if isinstance(spec, LaplacianCauchy):
-        s = spec.scales
-        return np.prod(s / (np.pi * (s * s + pts * pts)), axis=1)
-    if isinstance(spec, MaternT):
-        lam, s = spec.smoothness, spec.scale
-        nu = 2.0 * lam
-        q = s * s * np.sum(pts * pts, axis=1) / nu
-        log_p = (gammaln(lam + 0.5 * d) - gammaln(lam)
-                 - 0.5 * d * np.log(nu * np.pi) + d * np.log(s)
-                 - (lam + 0.5 * d) * np.log1p(q))
-        return np.exp(log_p)
-    if isinstance(spec, MixtureOfGaussians):
-        total = np.zeros(pts.shape[0])
-        for w, mu, cov in zip(spec.weights, spec.means, spec.covariances):
-            root, _ = linalg.cholesky(cov)
-            sol = linalg.solve_lower(root, (pts - mu).T)
-            log_det = 2.0 * np.sum(np.log(np.diagonal(root)))
-            log_p = -0.5 * np.sum(sol * sol, axis=0) \
-                - 0.5 * (d * np.log(2.0 * np.pi) + log_det)
-            total += w * np.exp(log_p)
-        return total
-    if isinstance(spec, PerDimProduct):
-        vals = np.ones(pts.shape[0])
-        for j, part in enumerate(spec.parts):
-            vals *= _density(part, pts[:, j:j + 1])
-        return vals
-    if isinstance(spec, GaussianCopula):
-        c = spec.correlation
-        z = np.empty_like(pts)
-        marg = np.ones(pts.shape[0])
-        for j, part in enumerate(spec.marginals):
-            f = cdf_fn(part)
-            u = np.clip(f(pts[:, j]), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
-            z[:, j] = norm.ppf(u)
-            marg *= _density(part, pts[:, j:j + 1])
-        root, _ = linalg.cholesky(c)
-        sol = linalg.solve_lower(root, z.T)
-        log_det = 2.0 * np.sum(np.log(np.diagonal(root)))
-        quad = np.sum(sol * sol, axis=0) - np.sum(z * z, axis=1)
-        return np.exp(-0.5 * (quad + log_det)) * marg
-    raise UnsupportedSpec(f"no density for {type(spec).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # serialization
+#
+# Measure, bank and model JSON are read only through the readers below,
+# which raise InvalidSpec for a missing key or a mistyped, non-finite,
+# oversized or ragged value.
+
+def _json_field(obj, key, where):
+    """obj[key] for a JSON object ``obj``."""
+    if not isinstance(obj, dict):
+        raise InvalidSpec(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise InvalidSpec(f"{where} needs {key!r}")
+    return obj[key]
+
+
+def _json_number(value, where):
+    """A JSON number as a finite float; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidSpec(f"{where} must be a number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise InvalidSpec(f"{where} is too large for a float") from None
+    if not math.isfinite(value):
+        raise InvalidSpec(f"{where} is not finite")
+    return value
+
+
+def _json_array(value, where):
+    """A number or nested lists of numbers as a finite float array."""
+    def walk(v):
+        return [walk(u) for u in v] if isinstance(v, list) else _json_number(v, where)
+    try:
+        return np.array(walk(value), dtype=float)
+    except ValueError:
+        raise InvalidSpec(f"{where} is a ragged array") from None
+
 
 def _encode_array(a):
     a = np.ascontiguousarray(a, dtype="<f8")
@@ -443,19 +403,22 @@ def _encode_array(a):
             "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _decode_array(obj):
-    """Inverse of _encode_array; a malformed object raises InvalidSpec."""
+def _decode_array(obj, where="encoded array"):
+    """Inverse of _encode_array; the array must be well formed and finite."""
     shape, data = (obj.get("shape"), obj.get("data")) if isinstance(obj, dict) else (None, None)
     if not (isinstance(shape, list) and isinstance(data, str)
             and all(type(s) is int and s >= 0 for s in shape)):
-        raise InvalidSpec("encoded array needs a 'shape' list of sizes and a 'data' string")
+        raise InvalidSpec(f"{where} needs a 'shape' list of sizes and a 'data' string")
     try:
         raw = base64.b64decode(data.encode("ascii"), validate=True)
     except (UnicodeEncodeError, binascii.Error):
-        raise InvalidSpec("encoded array data is not base64") from None
+        raise InvalidSpec(f"{where} data is not base64") from None
     if len(raw) != 8 * math.prod(shape):
-        raise InvalidSpec(f"encoded array data does not fill shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        raise InvalidSpec(f"{where} data does not fill shape {shape}")
+    a = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if not np.all(np.isfinite(a)):
+        raise InvalidSpec(f"{where} is not finite")
+    return a
 
 
 def bank_to_json_dict(bank):
@@ -472,23 +435,20 @@ def bank_to_json_dict(bank):
 def bank_from_json_dict(obj):
     if not isinstance(obj, dict) or obj.get("kind") != "frequency_bank":
         raise InvalidSpec("not a frequency bank document")
-    if not isinstance(obj.get("stationary"), bool):
+    stationary = _json_field(obj, "stationary", "frequency bank")
+    if not isinstance(stationary, bool):
         raise InvalidSpec("frequency bank needs a true/false 'stationary'")
-    omega1 = _decode_array(obj.get("omega1"))
-    if obj["stationary"]:
+    omega1 = _decode_array(_json_field(obj, "omega1", "frequency bank"), "omega1")
+    if stationary:
         return FrequencyBank(omega1, stationary=True)
-    return FrequencyBank(omega1, _decode_array(obj.get("omega2")), stationary=False)
+    omega2 = _decode_array(_json_field(obj, "omega2", "frequency bank"), "omega2")
+    return FrequencyBank(omega1, omega2, stationary=False)
 
 
 def save_bank(path, bank):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(bank_to_json_dict(bank), fh, sort_keys=True)
         fh.write("\n")
-
-
-def load_bank(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return bank_from_json_dict(json.load(fh))
 
 
 def spec_to_json_dict(spec):
@@ -513,35 +473,12 @@ def spec_to_json_dict(spec):
     raise UnsupportedSpec(f"cannot serialize {type(spec).__name__}")
 
 
-def _json_number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidSpec(f"{where} must be a number, got {type(value).__name__}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidSpec(f"{where} is too large for a float") from None
-
-
-def _json_array(value, where):
-    """A number or nested lists of numbers as a float array."""
-    def walk(v):
-        return [walk(u) for u in v] if isinstance(v, list) else _json_number(v, where)
-    try:
-        return np.array(walk(value), dtype=float)
-    except ValueError:
-        raise InvalidSpec(f"{where} is a ragged array") from None
-
-
 def spec_from_json_dict(obj):
     """Inverse of spec_to_json_dict; malformed input raises InvalidSpec."""
-    if not isinstance(obj, dict):
-        raise InvalidSpec(f"spectral measure must be a JSON object, got {type(obj).__name__}")
-    family = obj.get("family")
+    family = _json_field(obj, "family", "spectral measure")
 
     def get(key, read):
-        if key not in obj:
-            raise InvalidSpec(f"{family} measure needs {key!r}")
-        return read(obj[key], f"{family} {key}")
+        return read(_json_field(obj, key, f"{family} measure"), f"{family} {key}")
 
     def specs(value, where):
         if not isinstance(value, list):
@@ -566,8 +503,12 @@ def spec_from_json_dict(obj):
 
 
 def load_spec(path):
+    """A --spec file: a frequency bank if the object has 'omega1', else a measure."""
     with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_json_dict(json.load(fh))
+        doc = json.load(fh)
+    if isinstance(doc, dict) and "omega1" in doc:
+        return bank_from_json_dict(doc)
+    return spec_from_json_dict(doc)
 
 
 def save_spec(path, spec):

@@ -27,7 +27,6 @@ in the fit/predict path ever materializes an n x n matrix.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,8 @@ from .errors import (DimensionMismatch, InvalidParams, InvalidSpec,
                      SchemaMismatch)
 from .features import (NONSTATIONARY, STATIONARY, dense_kernel_gate,
                        features_for_mode, ridge_multiplier)
-from .measures import (_decode_array, _encode_array, bank_from_json_dict,
-                       bank_to_json_dict)
+from .measures import (_decode_array, _encode_array, _json_array, _json_field,
+                       _json_number, bank_from_json_dict, bank_to_json_dict)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -55,6 +54,10 @@ DIRECT_SIGMA_N2_MIN = 1e-12
 # in a single whole-block call.
 PREDICT_CHUNK_BYTES = 8 * 2 ** 20
 PREDICT_CHUNK_ALIGN = 256
+
+# Largest magnitude of a log-variance: exp() overflows double precision
+# just above 709, and its variance would be zero or infinite beyond here.
+LOG_VARIANCE_BOUND = 700.0
 
 
 @dataclass
@@ -253,106 +256,70 @@ def save_model(path, state):
         fh.write("\n")
 
 
-def _field(doc, key, where):
-    if not isinstance(doc, dict):
-        raise SchemaMismatch(f"model file: {where} is not an object")
-    if key not in doc:
-        raise SchemaMismatch(f"model file: {where} has no {key!r}")
-    return doc[key]
-
-
-def _finite(value, name):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaMismatch(f"model file: {name} is not a number")
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise SchemaMismatch(f"model file: {name} is not finite")
-    return value
-
-
-def _log_variance(hp, key):
-    """A log-variance whose variance is finite and positive."""
-    value = _finite(_field(hp, key, "hyperparams"), key)
-    if not -700.0 < value < 700.0:   # exp under- or overflows beyond here
-        raise SchemaMismatch(f"model file: {key} = {value} gives a variance "
-                             f"that is zero or infinite")
-    return value
-
-
-def _finite_list(value, name, length):
-    if not isinstance(value, list) or len(value) != length:
-        raise SchemaMismatch(f"model file: {name} is not a list of length {length}")
-    return np.array([_finite(v, name) for v in value])
-
-
-def _finite_array(obj, name, shape):
-    try:
-        a = _decode_array(obj)
-    except InvalidSpec as exc:
-        raise SchemaMismatch(f"model file: {name}: {exc}") from None
+def _shaped(a, name, shape):
     if a.shape != shape:
-        raise SchemaMismatch(f"model file: {name} has shape {a.shape}, expected {shape}")
-    if not np.all(np.isfinite(a)):
-        raise SchemaMismatch(f"model file: {name} is not finite")
+        raise InvalidSpec(f"{name} has shape {a.shape}, expected {shape}")
     return a
 
 
 def load_model(path):
     """Read a model written by save_model, checking every field first.
 
-    A missing key, a wrong length or shape, a non-finite value, or an r
+    Fields are read with the measures module's JSON readers. A missing
+    key, a mistyped, non-finite or oversized value, a wrong length or
+    shape, a log-variance whose variance is zero or infinite, or an r
     that is not lower-triangular with a positive diagonal raises
     SchemaMismatch, so a damaged file never reaches predict.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    version = _field(doc, "format_version", "document")
-    if version != MODEL_FORMAT_VERSION:
-        raise SchemaMismatch(f"unsupported model format version {version!r}")
-    mode = _field(doc, "mode", "document")
-    if mode not in (STATIONARY, NONSTATIONARY):
-        raise SchemaMismatch(f"unknown mode {mode!r}")
     try:
-        bank = bank_from_json_dict(_field(doc, "bank", "document"))
+        version = _json_field(doc, "format_version", "document")
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
+            raise InvalidSpec(f"unsupported model format version {version!r}")
+        mode = _json_field(doc, "mode", "document")
+        if mode not in (STATIONARY, NONSTATIONARY):
+            raise InvalidSpec(f"unknown mode {mode!r}")
+        bank = bank_from_json_dict(_json_field(doc, "bank", "document"))
+        if mode == STATIONARY and not bank.stationary:
+            raise InvalidSpec("stationary mode needs a stationary bank")
+        k, dim = 2 * bank.m, bank.dim
+
+        hp = _json_field(doc, "hyperparams", "document")
+        hyper = Hyperparams(*(_json_number(_json_field(hp, key, "hyperparams"), key)
+                              for key in ("log_sigma_f2", "log_sigma_n2")))
+        for key, value in vars(hyper).items():
+            if not abs(value) < LOG_VARIANCE_BOUND:
+                raise InvalidSpec(f"{key} = {value} gives a variance that is zero "
+                                  f"or infinite")
+
+        fit = _json_field(doc, "fit", "document")
+        r, alpha1, alpha2 = (
+            _shaped(_decode_array(_json_field(fit, key, "fit"), key), key, shape)
+            for key, shape in (("r", (k, k)), ("alpha1", (k,)), ("alpha2", (k,))))
+        if not np.all(np.diagonal(r) > 0.0) or np.any(np.triu(r, 1)):
+            raise InvalidSpec("r is not lower-triangular with a positive diagonal")
+        jitter = _json_number(fit.get("jitter", 0.0), "jitter")
+
+        stats = None
+        st = doc.get("standardization")
+        if st is not None:
+            def part(key, shape):
+                value = _json_array(_json_field(st, key, "standardization"), key)
+                return _shaped(value, key, shape)
+
+            stats = StandardizationStats(part("input_mean", (dim,)),
+                                         part("input_std", (dim,)),
+                                         float(part("output_mean", ())),
+                                         float(part("output_std", ())))
+            if not (np.all(stats.input_std > 0.0) and stats.output_std > 0.0):
+                raise InvalidSpec("standard deviations must be positive")
+
+        columns = doc.get("input_columns")
+        if columns is not None and not (
+                isinstance(columns, list) and len(columns) == dim
+                and all(isinstance(c, str) for c in columns)):
+            raise InvalidSpec(f"input_columns is not a list of {dim} names")
     except InvalidSpec as exc:
-        raise SchemaMismatch(f"model file: bank: {exc}") from None
-    if mode == STATIONARY and not bank.stationary:
-        raise SchemaMismatch("model file: stationary mode needs a stationary bank")
-    k, dim = 2 * bank.m, bank.dim
-
-    hp = _field(doc, "hyperparams", "document")
-    hyper = Hyperparams(_log_variance(hp, "log_sigma_f2"),
-                        _log_variance(hp, "log_sigma_n2"))
-
-    fit = _field(doc, "fit", "document")
-    r = _finite_array(_field(fit, "r", "fit"), "r", (k, k))
-    if not np.all(np.diagonal(r) > 0.0) or np.any(np.triu(r, 1)):
-        raise SchemaMismatch("model file: r is not lower-triangular with a "
-                             "positive diagonal")
-    alpha1 = _finite_array(_field(fit, "alpha1", "fit"), "alpha1", (k,))
-    alpha2 = _finite_array(_field(fit, "alpha2", "fit"), "alpha2", (k,))
-    jitter = _finite(fit.get("jitter", 0.0), "jitter")
-
-    stats = None
-    st = doc.get("standardization")
-    if st is not None:
-        def part(key, length=None):
-            value = _field(st, key, "standardization")
-            if length is None:
-                return _finite(value, key)
-            return _finite_list(value, key, length)
-
-        stats = StandardizationStats(part("input_mean", dim), part("input_std", dim),
-                                     part("output_mean"), part("output_std"))
-        if not (np.all(stats.input_std > 0.0) and stats.output_std > 0.0):
-            raise SchemaMismatch("model file: standard deviations must be positive")
-
-    columns = doc.get("input_columns")
-    if columns is not None and not (
-            isinstance(columns, list) and len(columns) == dim
-            and all(isinstance(c, str) for c in columns)):
-        raise SchemaMismatch(f"model file: input_columns is not a list of {dim} names")
+        raise SchemaMismatch(f"model file: {exc}") from None
     return FitState(r, alpha1, alpha2, hyper, bank, mode, jitter, stats, columns)

@@ -58,11 +58,6 @@ MODES = {
     NONSTATIONARY_LEARNED: Mode("nonstationary", NONSTATIONARY, ("omega1", "omega2")),
 }
 
-# exp() overflows double precision just above 709; beyond this the
-# objective is treated as diverged.
-_LOG_BOUND = 700.0
-
-
 @dataclass
 class TrainConfig:
     mode: str = NONSTATIONARY_LEARNED
@@ -314,12 +309,12 @@ def _bank_from_params(params, template, mode):
 def _check_hyper_params(params, trace):
     for key in ("log_sigma_f2", "log_sigma_n2"):
         v = float(params[key])
-        if not math.isfinite(v) or abs(v) > _LOG_BOUND:
+        if not math.isfinite(v) or abs(v) > model.LOG_VARIANCE_BOUND:
             raise NonFiniteLoss(f"{key} diverged to {v}", trace)
     # the ridge is exp(v - u) up to the feature count; its exponent must
     # stay representable too, or the factorization sees inf
     gap = float(params["log_sigma_n2"]) - float(params["log_sigma_f2"])
-    if abs(gap) > _LOG_BOUND:
+    if abs(gap) > model.LOG_VARIANCE_BOUND:
         raise NonFiniteLoss(f"noise-to-signal log ratio diverged to {gap}", trace)
 
 

@@ -1,9 +1,11 @@
-"""The names the benchmark's layer tracer wraps must exist in the package.
+"""The names the benchmark uses must exist in the package.
 
 ``perfbench/tracer.py`` looks every ``SPANS`` entry up with ``getattr``
-when a traced run starts, so a refactor that moves or renames one of
-those functions breaks every traced benchmark run. The tracer is read as
-text here, not imported, so this check leaves ``perfbench/`` untouched.
+when a traced run starts, and ``perfbench/run.py`` and ``child.py`` call
+package functions to write inputs and check outputs, so a refactor that
+moves, renames or deletes one of those names breaks every benchmark run.
+The scripts are read as text here, not imported, so this check leaves
+``perfbench/`` untouched.
 """
 
 import ast
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def traced_spans():
@@ -35,3 +38,50 @@ def test_feature_map_is_imported_by_name_where_it_is_traced(module):
     from spectral_rff import features
     mod = importlib.import_module(f"spectral_rff.{module}")
     assert mod.features_for_mode is features.features_for_mode
+
+
+def package_names_used(script):
+    """(module, attribute) pairs of spectral_rff that a script imports or uses.
+
+    ``from spectral_rff.m import a`` gives (m, a); ``from spectral_rff
+    import m`` gives (m, None), and each ``m.a`` in the same file (m, a).
+    """
+    tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level:
+            continue
+        if node.module == "spectral_rff":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = alias.name
+                names.add((alias.name, None))
+        elif node.module.startswith("spectral_rff."):
+            module = node.module.split(".", 1)[1]
+            names.update((module, alias.name) for alias in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add((modules[node.value.id], node.attr))
+    return sorted(names, key=str)
+
+
+BENCHMARK_NAMES = [(script, module, attr) for script in ("run.py", "child.py")
+                   for module, attr in package_names_used(script)]
+
+
+def test_the_benchmark_name_scan_sees_the_known_uses():
+    expected = {("run.py", "benchmarks", "SyntheticSpec"),
+                ("run.py", "benchmarks", "gen_chirp"),
+                ("run.py", "data", "save_dataset_csv"),
+                ("run.py", "data", "Dataset"),
+                ("run.py", "linalg", "seeded_rng"),
+                ("run.py", "model", "load_model"),
+                ("child.py", "cli", "apply_thread_cap")}
+    assert expected <= set(BENCHMARK_NAMES)
+
+
+@pytest.mark.parametrize("script,module,attr", BENCHMARK_NAMES)
+def test_every_name_the_benchmark_uses_resolves(script, module, attr):
+    mod = importlib.import_module(f"spectral_rff.{module}")
+    if attr is not None:
+        assert hasattr(mod, attr), f"{script} uses spectral_rff.{module}.{attr}"

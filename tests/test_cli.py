@@ -227,7 +227,7 @@ def test_spectrum_outputs_and_determinism(tmp_path):
     assert (out_a / "bank.json").read_bytes() == (out_b / "bank.json").read_bytes()
     assert len((out_a / "omega1.csv").read_text().splitlines()) == 6
     assert not (out_a / "omega2.csv").exists()
-    bank = measures.load_bank(out_a / "bank.json")
+    bank = measures.load_spec(out_a / "bank.json")
     assert bank.stationary and bank.m == 6 and bank.dim == 2
 
 
@@ -237,7 +237,7 @@ def test_spectrum_pairs_mode_and_json_spec(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["spectrum", "--spec", str(spec_path), "--m", "5",
                     "--dim", "1", "--pairs", "--out-dir", str(out)]) == 0
-    bank = measures.load_bank(out / "bank.json")
+    bank = measures.load_spec(out / "bank.json")
     assert not bank.stationary
     assert (out / "omega2.csv").exists()
 

@@ -1,5 +1,7 @@
 """CSV/grid/split plumbing, including the 17-digit round-trip contract."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,37 @@ def test_predictions_csv_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b,mean,variance"
     assert lines[1] == "1,2,0.5,0.25"
+
+
+def per_cell_table(path, header, rows):
+    """Reference writer: csv.writer with one format() call per cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(v), ".17g") for v in row])
+
+
+def test_table_writers_match_the_per_cell_reference(tmp_path):
+    # two full chunks and a ragged third, awkward magnitudes, signed zero
+    # and column names that csv.writer has to quote
+    n = 2 * data.WRITE_CHUNK_ROWS + 5
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
+    x[0] = [-0.0, 5e-324]
+    x[1] = [1.7976931348623157e308, 1.0 / 3.0]
+    y = rng.standard_normal(n)
+    names = ["a,b", 'q"x']
+    save_dataset_csv(tmp_path / "data.csv", Dataset(x, y, names, "y z"))
+    per_cell_table(tmp_path / "data_ref.csv", names + ["y z"],
+                   np.column_stack([x, y]))
+    assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "data_ref.csv").read_bytes()
+    var = np.abs(y)
+    var[2] = np.inf
+    write_predictions_csv(tmp_path / "pred.csv", x, y, var, names)
+    per_cell_table(tmp_path / "pred_ref.csv", names + ["mean", "variance"],
+                   np.column_stack([x, y, var]))
+    assert (tmp_path / "pred.csv").read_bytes() == (tmp_path / "pred_ref.csv").read_bytes()
 
 
 def test_pgm_bytes_golden(tmp_path):

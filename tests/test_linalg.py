@@ -101,15 +101,10 @@ def test_spawned_rngs_are_independent_and_reproducible():
 
 def test_standard_normal_moments():
     # CLT bounds: mean within 4 sigma/sqrt(N), second moment similar
-    draws = linalg.standard_normal(linalg.seeded_rng(5), 2000, 50)
+    draws = linalg.seeded_rng(5).standard_normal((2000, 50))
     n = draws.size
     assert abs(draws.mean()) < 4.0 / np.sqrt(n)
     assert abs((draws ** 2).mean() - 1.0) < 4.0 * np.sqrt(2.0 / n)
-
-
-def test_standard_normal_rejects_empty():
-    with pytest.raises(DimensionMismatch):
-        linalg.standard_normal(linalg.seeded_rng(0), 0, 3)
 
 
 def test_gram_matches_definition(rng):

@@ -1,9 +1,11 @@
-"""Sampling, density and duality checks for the spectral measure families.
+"""Sampling, distribution and duality checks for the spectral measure families.
 
 The duality oracle is numerical Fourier inversion: for a measure with
 density p, the dual kernel value at lag delta is 2 * int_0^inf p(w)
 cos(w delta) dw, evaluated with QAWF quadrature and compared against the
-closed-form kernels.
+closed-form kernels. The package samples measures but never evaluates a
+density, so p is scipy's density of the distribution that ``cdf_fn``
+describes, and ``test_densities_integrate_to_one`` ties the two together.
 """
 
 import numpy as np
@@ -24,14 +26,22 @@ from spectral_rff.measures import (FrequencyBank, GaussianCopula,
                                    MixtureOfGaussians, PerDimProduct,
                                    gaussian_copula_transform, quantile_fn,
                                    sample_nonstationary, sample_stationary,
-                                   spectral_density, student_t_spec)
+                                   student_t_spec)
 from spectral_rff.training import STATIONARY_LEARNED, TrainConfig, _initial_bank
+
+
+def reference_density(spec):
+    """scipy's density of a one-dimensional named measure."""
+    if isinstance(spec, GaussianSE):
+        return stats.norm(scale=1.0 / spec.lengthscales[0]).pdf
+    if isinstance(spec, LaplacianCauchy):
+        return stats.cauchy(scale=spec.scales[0]).pdf
+    return stats.t(df=2.0 * spec.smoothness, scale=1.0 / spec.scale).pdf
 
 
 def dual_kernel_by_quadrature(spec, delta):
     """Fourier-invert a symmetric 1-d spectral density at lag delta."""
-    def p(w):
-        return spectral_density(spec, np.array([w]))
+    p = reference_density(spec)
     if delta == 0.0:
         val, _ = integrate.quad(p, 0.0, np.inf)
         return 2.0 * val
@@ -59,28 +69,21 @@ def test_duality_density_inverts_to_closed_form_kernel(spec, delta):
     MaternT(0.75, 1.2),
 ])
 def test_densities_integrate_to_one(spec):
-    val, err = integrate.quad(
-        lambda w: spectral_density(spec, np.array([w])), -np.inf, np.inf)
+    # the quadrature density integrates to one, and up to w to cdf_fn's
+    # value at w, so the duality test checks the measure that is sampled
+    p = reference_density(spec)
+    val, err = integrate.quad(p, -np.inf, np.inf)
     assert val == pytest.approx(1.0, abs=max(1e-8, 10 * err))
-
-
-def test_mixture_density_integrates_to_one():
-    spec = MixtureOfGaussians([0.3, 0.7],
-                              [[-2.0, 0.0], [1.5, 1.0]],
-                              [np.eye(2) * 0.5, [[1.0, 0.4], [0.4, 1.0]]])
-    val, _ = integrate.dblquad(
-        lambda y, x: spectral_density(spec, np.array([x, y])),
-        -10.0, 10.0, -10.0, 10.0, epsabs=1e-6)
-    assert val == pytest.approx(1.0, abs=1e-4)
+    cdf = measures.cdf_fn(spec)
+    for w in (-2.5, -0.4, 0.0, 0.7, 3.0):
+        val, err = integrate.quad(p, -np.inf, w)
+        assert val == pytest.approx(float(cdf(w)), abs=max(1e-8, 10 * err))
 
 
 def test_cauchy_and_low_smoothness_t_are_the_same_measure():
     # t with one degree of freedom is the Cauchy distribution, so the
-    # smoothness-1/2 spec must agree with the Cauchy spec everywhere
+    # smoothness-1/2 spec must give the Cauchy spec's kernel everywhere
     grid = np.linspace(-8.0, 8.0, 41).reshape(-1, 1)
-    a = spectral_density(MaternT(0.5, 1.0), grid)
-    b = spectral_density(LaplacianCauchy([1.0]), grid)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
     ka = kernel_matrix(MaternT(0.5, 1.0), np.zeros((1, 1)), grid)
     kb = kernel_matrix(LaplacianCauchy([1.0]), np.zeros((1, 1)), grid)
     np.testing.assert_allclose(ka, kb, rtol=1e-9)
@@ -91,15 +94,6 @@ def test_student_t_preset_maps_dof_to_half_smoothness():
     assert isinstance(spec, MaternT)
     assert spec.smoothness == 0.5
     assert spec.scale == 2.0
-
-
-def test_separable_space_time_preset_structure():
-    spec = measures.separable_space_time_spec((0.5, 0.8), time_dof=0.5)
-    assert isinstance(spec, PerDimProduct)
-    assert spec.dim == 3
-    assert isinstance(spec.parts[0], GaussianSE)
-    assert isinstance(spec.parts[2], MaternT)
-    assert spec.parts[2].smoothness == 0.25
 
 
 @pytest.mark.parametrize("spec", [
@@ -149,14 +143,23 @@ def test_sampling_is_deterministic_per_seed():
     np.testing.assert_array_equal(a, b)
 
 
-def test_nonstationary_pair_with_twin_streams_collapses():
+def test_nonstationary_pair_draws_both_sets_from_one_stream():
     spec = GaussianSE([1.0, 1.0])
-    bank = sample_nonstationary(spec, spec, 20, 2, seeded_rng(5),
-                                rng2=seeded_rng(5))
-    np.testing.assert_array_equal(bank.omega1, bank.omega2)
+    bank = sample_nonstationary(spec, spec, 20, 2, seeded_rng(5))
     assert not bank.stationary
-    bank2 = sample_nonstationary(spec, spec, 20, 2, seeded_rng(5))
-    assert np.any(bank2.omega1 != bank2.omega2)
+    assert np.any(bank.omega1 != bank.omega2)
+    twin = seeded_rng(5)
+    np.testing.assert_array_equal(bank.omega1, sample_stationary(spec, 20, 2, twin).omega1)
+    np.testing.assert_array_equal(bank.omega2, sample_stationary(spec, 20, 2, twin).omega1)
+
+
+def test_draw_rejects_an_empty_bank():
+    for spec, m, d in ((GaussianSE([1.0]), 0, 1), (MaternT(1.5), 3, 0),
+                       (PerDimProduct((GaussianSE([1.0]),)), 0, 1)):
+        with pytest.raises(IncompatibleDims):
+            sample_stationary(spec, m, d, seeded_rng(0))
+        with pytest.raises(IncompatibleDims):
+            sample_nonstationary(spec, spec, m, d, seeded_rng(0))
 
 
 def test_empirical_sampling_returns_a_copy():
@@ -175,9 +178,12 @@ def test_empirical_sampling_returns_a_copy():
 
 
 def test_empirical_has_no_density():
-    bank = FrequencyBank(np.ones((2, 2)), stationary=True)
+    # a literal bank is not a distribution: it has no cdf or quantile
+    bank = FrequencyBank(np.ones((2, 1)), stationary=True)
     with pytest.raises(UnsupportedSpec):
-        spectral_density(bank, np.ones(2))
+        measures.cdf_fn(bank)
+    with pytest.raises(UnsupportedSpec):
+        quantile_fn(bank)
 
 
 def test_dimension_mismatch_is_rejected():
@@ -224,24 +230,6 @@ def test_copula_rejects_non_monotone_marginal():
         gaussian_copula_transform(np.zeros((2, 1)), [wiggle])
 
 
-def test_copula_density_at_independence_is_product_of_marginals():
-    spec = GaussianCopula(np.eye(2), (GaussianSE([1.0]), MaternT(1.5)))
-    pts = seeded_rng(14).standard_normal((20, 2))
-    joint = spectral_density(spec, pts)
-    marg = (spectral_density(GaussianSE([1.0]), pts[:, :1])
-            * spectral_density(MaternT(1.5), pts[:, 1:]))
-    np.testing.assert_allclose(joint, marg, rtol=1e-10)
-
-
-def test_copula_density_integrates_to_one():
-    corr = np.array([[1.0, -0.5], [-0.5, 1.0]])
-    spec = GaussianCopula(corr, (GaussianSE([1.0]), GaussianSE([0.8])))
-    val, _ = integrate.dblquad(
-        lambda y, x: spectral_density(spec, np.array([x, y])),
-        -9.0, 9.0, -9.0, 9.0, epsabs=1e-6)
-    assert val == pytest.approx(1.0, abs=1e-4)
-
-
 def test_copula_spec_validation():
     with pytest.raises(InvalidSpec):
         GaussianCopula(np.array([[1.0, 0.2], [0.3, 1.0]]),
@@ -282,7 +270,7 @@ def test_bank_round_trip_is_bit_exact(tmp_path, rng):
                                    stationary=False))
         path = tmp_path / f"bank_{stationary}.json"
         measures.save_bank(path, bank)
-        loaded = measures.load_bank(path)
+        loaded = measures.load_spec(path)
         assert loaded.stationary == stationary
         np.testing.assert_array_equal(loaded.omega1, bank.omega1)
         np.testing.assert_array_equal(loaded.omega2, bank.omega2)
@@ -333,14 +321,3 @@ def test_invalid_parameters_rejected():
         MaternT(-0.5)
     with pytest.raises(InvalidSpec):
         PerDimProduct(())
-
-
-def test_density_shape_contract():
-    spec = GaussianSE([1.0, 1.0])
-    one = spectral_density(spec, np.zeros(2))
-    assert isinstance(one, float)
-    many = spectral_density(spec, np.zeros((3, 2)))
-    assert many.shape == (3,)
-    np.testing.assert_allclose(many, one)
-    with pytest.raises(IncompatibleDims):
-        spectral_density(spec, np.zeros((2, 3)))

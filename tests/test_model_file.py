@@ -85,6 +85,8 @@ SCHEMA_BREAKS = {
     "huge integer": lambda doc: doc["hyperparams"].update(log_sigma_n2=10 ** 400),
     "variance overflows": lambda doc: doc["hyperparams"].update(log_sigma_n2=1000.0),
     "variance underflows": lambda doc: doc["hyperparams"].update(log_sigma_f2=-1000.0),
+    "boolean format_version": lambda doc: doc.update(format_version=True),
+    "float format_version": lambda doc: doc.update(format_version=1.0),
     "bad base64": lambda doc: doc["fit"]["alpha1"].update(data="not base64!"),
     "shape data disagree": lambda doc: doc["fit"]["alpha1"].update(shape=[9]),
 }

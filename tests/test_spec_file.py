@@ -98,6 +98,26 @@ def test_bank_of_the_wrong_dimension_is_a_dimension_mismatch(sine_csv, tmp_path,
     assert err.strip().endswith("\nerror: inputs have dimension 1, bank has 2")
 
 
+# each is finite but draws frequencies that overflow to inf or nan
+EXTREME_SPECS = ["matern:1e-300", "se:1e-310", "student-t:1e-300", "laplacian:1e308"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", EXTREME_SPECS)
+def test_extreme_measure_parameters_fail_in_one_line(spec, sine_csv, tmp_path,
+                                                     capsys):
+    # numpy used to print a two-line RuntimeWarning before the error; with
+    # warnings raised as errors, that warning would escape as an exception
+    out = tmp_path / "out"
+    code, err = run_cli(["spectrum", "--spec", spec, "--out-dir", str(out)], capsys)
+    assert_one_line_error(code, err)
+    assert err.strip() == "error: frequencies must be finite"
+    code, err = run_cli(fit_argv(sine_csv, spec, str(out)), capsys)
+    assert_one_line_error(code, err)
+    assert err.strip().endswith("\nerror: frequencies must be finite")
+    assert not out.exists()
+
+
 # --- fuzzing -------------------------------------------------------------
 
 VALID_DOCS = [
