@@ -43,8 +43,11 @@ def cholesky(a, jitter_ladder=JITTER_LADDER):
     if a.size and not np.all(np.isfinite(a)):
         raise FactorizationFailed("matrix contains non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if a.size and float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
-        raise NonSymmetric("matrix is not symmetric within tolerance")
+    if a.size:
+        skew = a - a.T
+        np.abs(skew, out=skew)
+        if float(np.max(skew)) > SYMMETRY_TOL * scale:
+            raise NonSymmetric("matrix is not symmetric within tolerance")
     diag_scale = float(np.mean(np.diagonal(a))) if a.size else 0.0
     if diag_scale <= 0.0:
         diag_scale = 0.0

@@ -363,7 +363,7 @@ def cdf_fn(spec):
 #
 # Measure, bank and model JSON are read only through the readers below,
 # which raise InvalidSpec for a missing key or a mistyped, non-finite,
-# oversized or ragged value.
+# oversized, ragged or too deeply nested value.
 
 def _json_field(obj, key, where):
     """obj[key] for a JSON object ``obj``."""
@@ -395,6 +395,8 @@ def _json_array(value, where):
         return np.array(walk(value), dtype=float)
     except ValueError:
         raise InvalidSpec(f"{where} is a ragged array") from None
+    except RecursionError:
+        raise InvalidSpec(f"{where} is nested too deeply") from None
 
 
 def _encode_array(a):
@@ -504,11 +506,14 @@ def spec_from_json_dict(obj):
 
 def load_spec(path):
     """A --spec file: a frequency bank if the object has 'omega1', else a measure."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and "omega1" in doc:
-        return bank_from_json_dict(doc)
-    return spec_from_json_dict(doc)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if isinstance(doc, dict) and "omega1" in doc:
+            return bank_from_json_dict(doc)
+        return spec_from_json_dict(doc)
+    except RecursionError:
+        raise InvalidSpec(f"spec file {path} is nested too deeply") from None
 
 
 def save_spec(path, spec):

@@ -268,12 +268,13 @@ def load_model(path):
     Fields are read with the measures module's JSON readers. A missing
     key, a mistyped, non-finite or oversized value, a wrong length or
     shape, a log-variance whose variance is zero or infinite, or an r
-    that is not lower-triangular with a positive diagonal raises
-    SchemaMismatch, so a damaged file never reaches predict.
+    that is not lower-triangular with a positive diagonal, and JSON nested
+    too deeply to read, raise SchemaMismatch, so a damaged file never
+    reaches predict.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
         version = _json_field(doc, "format_version", "document")
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise InvalidSpec(f"unsupported model format version {version!r}")
@@ -322,4 +323,6 @@ def load_model(path):
             raise InvalidSpec(f"input_columns is not a list of {dim} names")
     except InvalidSpec as exc:
         raise SchemaMismatch(f"model file: {exc}") from None
+    except RecursionError:
+        raise SchemaMismatch("model file: JSON is nested too deeply") from None
     return FitState(r, alpha1, alpha2, hyper, bank, mode, jitter, stats, columns)

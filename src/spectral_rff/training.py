@@ -20,6 +20,13 @@ with u = log sigma_f^2, v = log sigma_n^2 (r depends on u and v, which
 is where the trace and |alpha2| terms come from). Every formula is
 checked against central finite differences in the test suite.
 
+G is formed once per step with level-3 kernels, never by triangular
+solves against phi: with A = R R' from the Cholesky, one triangular
+solve gives R^-1, LAPACK dlauum turns it in place into
+R^-T R^-1 = G (lower triangle), tr(G) is read off its diagonal, and
+one BLAS dsymm adds -phi G onto the outer-product term of phibar. Each
+step is O(n m^2 + m^3).
+
 Gaussian dropout multiplies each frequency entry by an independent
 N(1, sigma_p^2) draw, fresh at every step; the noisy bank is used for
 the forward value and the gradient, the clean bank receives the update,
@@ -33,10 +40,12 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsymm
+from scipy.linalg.lapack import dlauum
 
 from . import linalg, model
 from .data import Dataset
-from .errors import DegenerateSplit, NonFiniteLoss
+from .errors import DegenerateSplit, FactorizationFailed, NonFiniteLoss
 from .features import (NONSTATIONARY, STATIONARY, features_for_mode,
                        ridge_multiplier, sum_blocks, trig_blocks)
 from .measures import (FrequencyBank, GaussianSE, sample_nonstationary,
@@ -198,13 +207,21 @@ def lml_gradient(x, y, bank, hyper, mode):
     core = model.reduced_core(phi, y, hyper)
     r_chol, alpha2 = core["r"], core["alpha2"]
     rinv = solve_triangular(r_chol, np.eye(2 * m), lower=True, check_finite=False)
+    # rinv is Fortran-ordered, so dlauum overwrites it with the lower
+    # triangle of G; its upper triangle stays zero and dsymm never reads it
+    g, info = dlauum(rinv, lower=1, overwrite_c=1)
+    if info != 0:
+        raise FactorizationFailed(f"dlauum failed with info={info}")
     grads = log_variance_grads(core["ridge"], hyper.sigma_n2, core["yy"], core["a1_sq"],
-                               core["a2_sq"], float(np.sum(rinv * rinv)), m, y.shape[0])
+                               core["a2_sq"], float(np.trace(g)), m, y.shape[0])
     if trained:
-        w = linalg.solve_lower(r_chol, phi.phi.T)
-        phi_g = linalg.solve_upper(r_chol.T, w).T
         resid = y - phi.phi @ alpha2
-        phibar = np.outer(resid, alpha2) / hyper.sigma_n2 - phi_g
+        # phibar' = alpha2 resid' / sigma_n^2 - G phi' in one dsymm, written
+        # into the outer product through its Fortran-ordered transpose;
+        # phi.T is a Fortran view too, so f2py copies neither
+        phibar = dsymm(-1.0, g, phi.phi.T, beta=1.0,
+                       c=np.outer(resid / hyper.sigma_n2, alpha2).T,
+                       side=0, lower=1, overwrite_c=1).T
         cbar, sbar = phibar[:, :m], phibar[:, m:]
         for key, (c, s) in zip(trained, blocks):
             grads[key] = (sbar * c - cbar * s).T @ x

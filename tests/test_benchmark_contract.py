@@ -12,6 +12,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -85,3 +86,36 @@ def test_every_name_the_benchmark_uses_resolves(script, module, attr):
     mod = importlib.import_module(f"spectral_rff.{module}")
     if attr is not None:
         assert hasattr(mod, attr), f"{script} uses spectral_rff.{module}.{attr}"
+
+
+@pytest.mark.parametrize("mode", ["stationary_learned", "nonstationary_learned"])
+def test_a_gradient_step_makes_one_inverse_and_no_wide_solves(monkeypatch, mode):
+    # the traced span training.solve_triangular measures the one explicit
+    # R^-1 of a step; phi G comes from GEMM-class kernels, so no linalg
+    # solve may take n right-hand sides
+    from spectral_rff import linalg, training
+    from spectral_rff.measures import FrequencyBank
+    from spectral_rff.model import Hyperparams
+
+    inverses, columns = [], []
+
+    def counting(real, log):
+        def wrapper(r, b, **kwargs):
+            log.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+            return real(r, b, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(training, "solve_triangular",
+                        counting(training.solve_triangular, inverses))
+    for name in ("solve_lower", "solve_upper"):
+        monkeypatch.setattr(linalg, name, counting(getattr(linalg, name), columns))
+    rng = np.random.default_rng(5)
+    n, m = 50, 30
+    omega = [rng.standard_normal((m, 1)) for _ in range(2)]
+    bank = (FrequencyBank(omega[0], stationary=True) if mode == "stationary_learned"
+            else FrequencyBank(*omega, stationary=False))
+    x = rng.uniform(-1.0, 1.0, (n, 1))
+    training.lml_gradient(x, np.sin(3.0 * x[:, 0]), bank,
+                          Hyperparams.from_variances(1.0, 0.1), mode)
+    assert len(inverses) == 1
+    assert columns and max(columns) == 1

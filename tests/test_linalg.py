@@ -35,6 +35,30 @@ def test_cholesky_rejects_nonsquare_and_asymmetric():
         linalg.cholesky(a)
 
 
+@pytest.mark.parametrize("factor,symmetric", [(1.01, False), (0.99, True)])
+def test_cholesky_symmetry_tolerance_edges(factor, symmetric):
+    # the tolerance scales with the largest entry, here 5
+    tol = linalg.SYMMETRY_TOL * 5.0
+    a = np.array([[5.0, 1.0], [1.0, 5.0]])
+    a[0, 1] += factor * tol
+    assert abs(a[0, 1] - a[1, 0]) == pytest.approx(factor * tol, rel=1e-3)
+    if symmetric:
+        r, jitter = linalg.cholesky(a)
+        assert jitter == 0.0
+        np.testing.assert_allclose(r @ r.T, np.tril(a) + np.tril(a, -1).T, atol=1e-12)
+    else:
+        with pytest.raises(NonSymmetric):
+            linalg.cholesky(a)
+
+
+def test_cholesky_rejects_nan_before_checking_symmetry():
+    # NaN skew compares false against the tolerance, so the finiteness
+    # check must come first; this matrix is asymmetric as well
+    a = np.array([[1.0, 5.0], [0.0, np.nan]])
+    with pytest.raises(FactorizationFailed):
+        linalg.cholesky(a)
+
+
 def test_cholesky_jitter_rescues_singular_matrix():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     r, jitter = linalg.cholesky(a)

@@ -147,6 +147,21 @@ def test_predict_with_short_input_std_is_refused_not_broadcast(tmp_path, capsys)
     assert_clean_refusal(*predict_with_model_doc(tmp_path, capsys, doc))
 
 
+def test_predict_with_deeply_nested_model_file_exits_1_without_traceback(tmp_path,
+                                                                        capsys):
+    # json.load used to end in a RecursionError traceback on this file
+    model_path = tmp_path / "deep.json"
+    model_path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SchemaMismatch, match="nested too deeply"):
+        load_model(model_path)
+    query = tmp_path / "query.csv"
+    write_query(query)
+    out = tmp_path / "out"
+    code = cli.main(["predict", "--model", str(model_path), "--data", str(query),
+                     "--out-dir", str(out)])
+    assert_clean_refusal(code, capsys.readouterr().err, out)
+
+
 # --- fuzzing -------------------------------------------------------------
 
 def node_paths(node, prefix=()):

@@ -98,6 +98,30 @@ def test_bank_of_the_wrong_dimension_is_a_dimension_mismatch(sine_csv, tmp_path,
     assert err.strip().endswith("\nerror: inputs have dimension 1, bank has 2")
 
 
+# each once ended in a RecursionError traceback: inside json.load, inside
+# _json_array's walk, and inside spec_from_json_dict's recursion over parts
+DEEP_SPECS = {
+    "100,000 nested lists": "[" * 100_000 + "]" * 100_000,
+    "lengthscales 900 lists deep": ('{"family": "gaussian_se", "lengthscales": '
+                                    + "[" * 900 + "1.0" + "]" * 900 + "}"),
+    "300 nested products": ('{"family": "per_dim_product", "parts": [' * 300
+                            + '{"family": "gaussian_se", "lengthscales": [1.0]}'
+                            + "]}" * 300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SPECS))
+def test_deeply_nested_spec_file_exits_1_with_one_line(name, tmp_path, capsys):
+    spec_path = tmp_path / "deep.json"
+    spec_path.write_text(DEEP_SPECS[name])
+    out = tmp_path / "out"
+    code, err = run_cli(["spectrum", "--spec", str(spec_path), "--out-dir", str(out)],
+                        capsys)
+    assert_one_line_error(code, err)
+    assert "nested too deeply" in err
+    assert not out.exists()
+
+
 # each is finite but draws frequencies that overflow to inf or nan
 EXTREME_SPECS = ["matern:1e-300", "se:1e-310", "student-t:1e-300", "laplacian:1e308"]
 

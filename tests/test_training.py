@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spectral_rff import data, features, model, training
+from spectral_rff import data, features, linalg, model, training
 from spectral_rff.data import Dataset
 from spectral_rff.errors import DegenerateSplit, NonFiniteLoss
 from spectral_rff.features import features_for_mode, kernel_matrix
@@ -109,6 +109,58 @@ def test_gradients_match_central_differences(mode, fmode):
                           - fd_lml(x, y, perturbed(-1), hyper, fmode)) / (2 * h)
                     worst = max(worst, abs(grads[key][i, j] - fd) / max(1.0, abs(fd)))
     assert worst < 1e-6
+
+
+def two_solve_lml_gradient(x, y, bank, hyper, mode):
+    """Reference for lml_gradient's dlauum/dsymm core: tr(G) as |R^-1|_F^2
+    and phi G from two triangular solves with n right-hand sides."""
+    fmode, trained = MODES[mode].features, MODES[mode].trained
+    m = bank.m
+    blocks = list(features.trig_blocks(x, bank, fmode))
+    phi = features.sum_blocks(blocks, m, fmode)
+    core = model.reduced_core(phi, y, hyper)
+    r_chol, alpha2 = core["r"], core["alpha2"]
+    rinv = linalg.solve_lower(r_chol, np.eye(2 * m))
+    grads = training.log_variance_grads(core["ridge"], hyper.sigma_n2, core["yy"],
+                                        core["a1_sq"], core["a2_sq"],
+                                        float(np.sum(rinv * rinv)), m, y.shape[0])
+    if trained:
+        w = linalg.solve_lower(r_chol, phi.phi.T)
+        phi_g = linalg.solve_upper(r_chol.T, w).T
+        resid = y - phi.phi @ alpha2
+        phibar = np.outer(resid, alpha2) / hyper.sigma_n2 - phi_g
+        cbar, sbar = phibar[:, :m], phibar[:, m:]
+        for key, (c, s) in zip(trained, blocks):
+            grads[key] = (sbar * c - cbar * s).T @ x
+    return core["lml"], grads
+
+
+@pytest.mark.parametrize("mode", [STATIONARY_LEARNED, NONSTATIONARY_LEARNED])
+@pytest.mark.parametrize("regime", ["2m > n", "n >> 2m"])
+def test_gradient_core_matches_the_two_solve_reference(mode, regime):
+    rng = seeded_rng(81)
+    for _ in range(4):
+        if regime == "2m > n":
+            n = int(rng.integers(5, 40))
+            m = int(rng.integers(n, 2 * n))
+        else:
+            m = int(rng.integers(1, 9))
+            n = int(rng.integers(200, 400))
+        d = int(rng.integers(1, 4))
+        omega1 = 3.0 * rng.standard_normal((m, d))
+        bank = (FrequencyBank(omega1, stationary=True) if mode == STATIONARY_LEARNED
+                else FrequencyBank(omega1, 3.0 * rng.standard_normal((m, d)),
+                                   stationary=False))
+        x = rng.uniform(-1.0, 1.0, (n, d))
+        y = np.sin(3.0 * x[:, 0]) + 0.1 * rng.standard_normal(n)
+        hyper = Hyperparams.from_variances(float(np.exp(rng.uniform(-1.0, 1.0))),
+                                           float(np.exp(rng.uniform(-4.0, 0.0))))
+        value, grads, _ = lml_gradient(x, y, bank, hyper, mode)
+        ref_value, ref_grads = two_solve_lml_gradient(x, y, bank, hyper, mode)
+        assert value == pytest.approx(ref_value, rel=1e-10)
+        assert set(grads) == set(ref_grads)
+        for key, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[key], ref, rtol=1e-10, atol=0.0)
 
 
 def test_fixed_mode_reports_no_frequency_gradients():
