@@ -11,6 +11,7 @@ SPECTRAL_RFF_THREADS cap has to reach the environment before that.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -31,6 +32,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
+def _finite_float(text):
+    """argparse type for a float flag that must be a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _log(message):
@@ -162,6 +171,23 @@ def cmd_fit(args):
     return 0
 
 
+def _standardized(x, st):
+    """Inputs in the model's standardized units; a finite row far outside
+    the training range can overflow there, and is refused by its 1-based
+    row number rather than predicted as nan."""
+    import numpy as np
+
+    from . import data
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = data.standardize_inputs(x, st)
+    bad = ~np.isfinite(z).all(axis=1)
+    if bad.any():
+        raise InvalidSpec(f"data row {int(np.argmax(bad)) + 1} is not finite "
+                          f"after standardizing with the model's input statistics")
+    return z
+
+
 def _predict_data_units(state, x):
     """Predictive mean and variance at raw inputs, in the data's units."""
     from . import data, model
@@ -169,7 +195,7 @@ def _predict_data_units(state, x):
     st = state.standardization
     if st is None:
         return model.predict(state, x)
-    mean, var = model.predict(state, data.standardize_inputs(x, st))
+    mean, var = model.predict(state, _standardized(x, st))
     return data.destandardize_predictions(mean, var, st)
 
 
@@ -259,8 +285,8 @@ def cmd_kernel_dump(args):
                              f"got {len(anchors[0])}")
     if args.count < 2:
         raise InvalidSpec("count must be at least 2")
-    if not args.window > 0:
-        raise InvalidSpec("window must be positive")
+    if not 0 < args.window < math.inf:
+        raise InvalidSpec("window must be positive and finite")
     scale = KernelScale(state.hyper.sigma_f2, state.mode)
     _outdir(args)
     for idx, anchor in enumerate(anchors):
@@ -269,7 +295,7 @@ def cmd_kernel_dump(args):
         grid = data.make_grid(spec)
         pts = np.vstack([a.reshape(1, -1), grid])
         if state.standardization is not None:
-            pts = data.standardize_inputs(pts, state.standardization)
+            pts = _standardized(pts, state.standardization)
         phi = features_for_mode(pts, state.bank, state.mode)
         phi_a = type(phi)(phi.phi[:1], phi.m, phi.mode)
         phi_g = type(phi)(phi.phi[1:], phi.m, phi.mode)
@@ -370,9 +396,9 @@ def build_parser():
                         "measure JSON file, or a bank JSON from spectrum "
                         "used as the initial bank; default: Gaussian with "
                         "median-heuristic lengthscales")
-    p.add_argument("--sigma-p", type=float, default=0.05,
+    p.add_argument("--sigma-p", type=_finite_float, default=0.05,
                    help="Gaussian dropout level on frequencies")
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_finite_float, default=1e-3)
     p.add_argument("--max-steps", type=int, default=500)
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--eval-every", type=int, default=10)
@@ -433,7 +459,7 @@ def build_parser():
     p.add_argument("--m", type=int, default=None,
                    help="stationary bank size; the learned arm gets m/2 pairs")
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--sigma-p", type=float, default=0.05)
+    p.add_argument("--sigma-p", type=_finite_float, default=0.05)
     p.add_argument("--split", type=float, default=0.7)
     p.add_argument("--seed", type=int, default=0)
     _add_data_flags(p, required=False)

@@ -75,6 +75,8 @@ class GridSpec:
         for lo, hi, c in zip(mins, maxs, counts):
             if c < 2:
                 raise ValueError("grid needs at least 2 points per dimension")
+            if not math.isfinite(hi - lo):
+                raise ValueError("grid bounds and their span must be finite")
             if not hi > lo:
                 raise ValueError("grid max must exceed min in every dimension")
         object.__setattr__(self, "mins", mins)

@@ -7,6 +7,7 @@ platform and numpy version.
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import DimensionMismatch, FactorizationFailed, NonSquare, NonSymmetric
 
@@ -31,7 +32,12 @@ def cholesky(a, jitter_ladder=JITTER_LADDER):
     """Lower-triangular R with R @ R.T = a + jitter * I.
 
     The jitter is the smallest rung of ``jitter_ladder`` (scaled by the
-    mean diagonal of ``a``) that lets the factorization succeed.
+    mean diagonal of ``a``) that lets LAPACK dpotrf succeed. R is
+    Fortran-ordered with its upper triangle exactly zero.
+
+    ``a`` must be finite and symmetric within SYMMETRY_TOL of its largest
+    entry; the tolerance test runs only when ``a`` is not exactly
+    symmetric, so a Gram matrix from ``gram`` skips it.
 
     Returns
     -------
@@ -42,8 +48,8 @@ def cholesky(a, jitter_ladder=JITTER_LADDER):
         raise NonSquare(f"expected a square matrix, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise FactorizationFailed("matrix contains non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if a.size:
+    if a.size and not np.array_equal(a, a.T):
+        scale = max(1.0, float(np.max(np.abs(a))))
         skew = a - a.T
         np.abs(skew, out=skew)
         if float(np.max(skew)) > SYMMETRY_TOL * scale:
@@ -54,12 +60,38 @@ def cholesky(a, jitter_ladder=JITTER_LADDER):
     for rung in jitter_ladder:
         jitter = rung * diag_scale
         target = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-        try:
-            return np.linalg.cholesky(target), jitter
-        except np.linalg.LinAlgError:
-            continue
+        r, info = dpotrf(target, lower=1, clean=1)
+        if info == 0:
+            return r, jitter
+        if info < 0:
+            raise FactorizationFailed(f"dpotrf rejected argument {-info}")
     raise FactorizationFailed(
         f"Cholesky failed for all jitter rungs {tuple(jitter_ladder)}")
+
+
+def solve_factored(r, b):
+    """Solve R R.T x = b with one LAPACK dpotrs, for R from ``cholesky``.
+
+    ``r`` is trusted to be a factor that ``cholesky`` returned; only the
+    right-hand side's shape is checked.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != r.shape[0]:
+        raise DimensionMismatch(
+            f"rhs has shape {b.shape}, factor is {r.shape[0]} x {r.shape[0]}")
+    x, info = dpotrs(r, b, lower=1)
+    if info != 0:
+        raise FactorizationFailed(f"dpotrs failed with info={info}")
+    return x
+
+
+def inverse_lower(r):
+    """R^-1 of a lower-triangular factor with a positive diagonal, by LAPACK
+    dtrtri. Fortran-ordered; its strict upper triangle is copied from r."""
+    rinv, info = dtrtri(r, lower=1)
+    if info != 0:
+        raise FactorizationFailed(f"dtrtri failed with info={info}")
+    return rinv
 
 
 def _triangular_solve(r, b, lower):

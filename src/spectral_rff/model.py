@@ -10,18 +10,23 @@ through the 2m x 2m system
 
     A = phi' phi + r I,      r = M sigma_n^2 / sigma_f^2,
 
-factored as A = R R' with R lower triangular. With alpha1 = R^-1 phi' y
-and alpha2 = A^-1 phi' y the log marginal likelihood is
+factored once as A = R R' with R lower triangular (LAPACK dpotrf).
+With b = phi' y, alpha2 = A^-1 b comes from one dpotrs on the factor,
+and alpha1 = R^-1 b satisfies |alpha1|^2 = b' A^-1 b = b' alpha2, so the
+log marginal likelihood
 
-    L = -(|y|^2 - |alpha1|^2) / (2 sigma_n^2) - sum_i log R_ii
+    L = -(|y|^2 - b' alpha2) / (2 sigma_n^2) - sum_i log R_ii
         + m log r - (n / 2) log(2 pi sigma_n^2)
 
-and the posterior predictive at a feature row p is
+needs no triangular solve; alpha1 itself is formed only for the saved
+model. The posterior predictive at a feature row p is
 
     mean = p' alpha2,
     var  = sigma_n^2 (1 + |R^-1 p|^2),
 
-which agree with dense conditioning on the induced kernel to rounding.
+with R^-1 formed once per predict call, so each row chunk's |R^-1 p|^2
+is one triangular multiply. Both agree with dense conditioning on the
+induced kernel to rounding.
 A dense O(n^3) path is kept alongside as the oracle for tests; nothing
 in the fit/predict path ever materializes an n x n matrix.
 """
@@ -30,6 +35,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 from . import linalg
 from .data import StandardizationStats
@@ -103,9 +109,9 @@ class FitState:
 def reduced_core(phi, y, hyper):
     """Factor the reduced system and evaluate the log marginal likelihood.
 
-    Returns a dict with r (Cholesky factor), alpha1, alpha2, ridge,
-    jitter, lml, |y|^2 (yy) and |alpha1|^2, |alpha2|^2 (a1_sq, a2_sq);
-    shared by the public entry points and the trainer.
+    Returns a dict with r (Cholesky factor), b = phi' y, alpha2, ridge,
+    jitter, lml, |y|^2 (yy) and |alpha1|^2 = b' alpha2, |alpha2|^2
+    (a1_sq, a2_sq); shared by the public entry points and the trainer.
     """
     y = np.asarray(y, dtype=float).ravel()
     mat = phi.phi
@@ -118,16 +124,15 @@ def reduced_core(phi, y, hyper):
     a[np.diag_indices_from(a)] += ridge
     r, jitter = linalg.cholesky(a)
     b = mat.T @ y
-    alpha1 = linalg.solve_lower(r, b)
-    alpha2 = linalg.solve_upper(r.T, alpha1)
+    alpha2 = linalg.solve_factored(r, b)
     sigma_n2 = hyper.sigma_n2
     yy = float(y @ y)
-    a1_sq = float(alpha1 @ alpha1)
+    a1_sq = float(b @ alpha2)
     lml = (-(yy - a1_sq) / (2.0 * sigma_n2)
            - float(np.sum(np.log(np.diagonal(r))))
            + m * np.log(ridge)
            - 0.5 * n * np.log(2.0 * np.pi * sigma_n2))
-    return {"r": r, "alpha1": alpha1, "alpha2": alpha2, "ridge": ridge,
+    return {"r": r, "b": b, "alpha2": alpha2, "ridge": ridge,
             "jitter": jitter, "lml": float(lml), "yy": yy, "a1_sq": a1_sq,
             "a2_sq": float(alpha2 @ alpha2)}
 
@@ -135,7 +140,8 @@ def reduced_core(phi, y, hyper):
 def fit_state(phi, y, hyper, bank, standardization=None, input_columns=None):
     """Solve the reduced system once and package everything needed to predict."""
     core = reduced_core(phi, y, hyper)
-    return FitState(core["r"], core["alpha1"], core["alpha2"], hyper, bank,
+    alpha1 = linalg.solve_lower(core["r"], core["b"])
+    return FitState(core["r"], alpha1, core["alpha2"], hyper, bank,
                     phi.mode, core["jitter"], standardization, input_columns)
 
 
@@ -191,27 +197,32 @@ def _chunk_rows(m):
     return max(PREDICT_CHUNK_ALIGN, rows - rows % PREDICT_CHUNK_ALIGN)
 
 
-def _chunk_moments(state, x):
+def _chunk_moments(state, rinv, x):
     """Predictive mean and |R^-1 p|^2 for each row of one chunk.
 
-    A function of its own so the chunk's feature block and solve are
-    freed before the next chunk's are built.
+    A function of its own so the chunk's feature block is freed before
+    the next chunk's is built. The mean is taken first: dtrmm then
+    writes R^-1 phi' over the block through its Fortran-ordered
+    transpose, so the variance needs no second (2m, rows) array.
     """
     phi = features_for_mode(x, state.bank, state.mode).phi
-    v = linalg.solve_lower(state.r, phi.T)
+    mean = phi @ state.alpha2
+    v = dtrmm(1.0, rinv, phi.T, lower=1, overwrite_b=1)
     np.square(v, out=v)
-    return phi @ state.alpha2, np.sum(v, axis=0)
+    return mean, np.sum(v, axis=0)
 
 
 def predict(state, x_star):
     """Posterior predictive mean and variance at new inputs.
 
-    Runs in O(n_star m^2) time. x_star is walked in row chunks whose
-    feature block holds about PREDICT_CHUNK_BYTES, so the working memory
-    is O(chunk m) on top of the length-n_star outputs, however many rows
-    are asked for. Chunk starts sit on multiples of PREDICT_CHUNK_ALIGN
-    rows, so BLAS groups every row as in one whole-block pass; with
-    OpenBLAS the result is bitwise equal to that pass.
+    Runs in O(n_star m^2 + m^3) time: R^-1 is formed once, then each
+    row chunk costs one feature map and one triangular multiply. x_star
+    is walked in row chunks whose feature block holds about
+    PREDICT_CHUNK_BYTES, so the working memory is O(chunk m) on top of
+    the length-n_star outputs, however many rows are asked for. Chunk
+    starts sit on multiples of PREDICT_CHUNK_ALIGN rows, so BLAS groups
+    every row as in one whole-block pass; with OpenBLAS the mean is
+    bitwise equal to that pass.
     """
     x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
     if x_star.shape[1] != state.bank.dim:
@@ -221,9 +232,10 @@ def predict(state, x_star):
     mean = np.empty(n)
     var = np.empty(n)
     rows = _chunk_rows(state.bank.m)
+    rinv = linalg.inverse_lower(state.r)
     for lo in range(0, n, rows):
         mean[lo:lo + rows], var[lo:lo + rows] = _chunk_moments(
-            state, x_star[lo:lo + rows])
+            state, rinv, x_star[lo:lo + rows])
     var += 1.0
     var *= state.hyper.sigma_n2
     return mean, var

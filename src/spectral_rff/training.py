@@ -17,15 +17,20 @@ log-variance derivatives are
             - r |alpha2|^2 / (2 sigma_n^2) - r tr(G) / 2 + m - n / 2
 
 with u = log sigma_f^2, v = log sigma_n^2 (r depends on u and v, which
-is where the trace and |alpha2| terms come from). Every formula is
-checked against central finite differences in the test suite.
+is where the trace and |alpha2| terms come from), and |alpha1|^2 = b' alpha2
+as the model module computes it. Every formula is checked against
+central finite differences in the test suite.
 
 G is formed once per step with level-3 kernels, never by triangular
-solves against phi: with A = R R' from the Cholesky, one triangular
-solve gives R^-1, LAPACK dlauum turns it in place into
-R^-T R^-1 = G (lower triangle), tr(G) is read off its diagonal, and
-one BLAS dsymm adds -phi G onto the outer-product term of phibar. Each
-step is O(n m^2 + m^3).
+solves against phi: with A = R R' from the one dpotrf of the model
+core (which also gives alpha2 by one dpotrs), one triangular solve
+against an identity it overwrites gives R^-1, LAPACK dlauum turns it in
+place into R^-T R^-1 = G (lower triangle), tr(G) is read off its
+diagonal, and one BLAS dsymm adds -phi G onto the outer-product term of
+phibar. Each step is O(n m^2 + m^3). LAPACK dpotri would form G in one
+call, but the solve is kept because the benchmark's tracer measures it
+by the name training.solve_triangular; dropping that name is a change
+to the benchmark first.
 
 Gaussian dropout multiplies each frequency entry by an independent
 N(1, sigma_p^2) draw, fresh at every step; the noisy bank is used for
@@ -87,18 +92,18 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ValueError("adam betas must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ValueError("adam_eps must be positive")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be positive and finite")
         if self.max_steps < 1 or self.patience < 1 or self.eval_every < 1:
             raise ValueError("max_steps, patience and eval_every must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie in (0, 1)")
-        if self.dropout_sigma_p < 0:
-            raise ValueError("dropout_sigma_p must be nonnegative")
+        if not 0 <= self.dropout_sigma_p < math.inf:
+            raise ValueError("dropout_sigma_p must be nonnegative and finite")
 
     @property
     def feature_mode(self):
@@ -206,7 +211,9 @@ def lml_gradient(x, y, bank, hyper, mode):
     phi = sum_blocks(blocks, m, fmode)
     core = model.reduced_core(phi, y, hyper)
     r_chol, alpha2 = core["r"], core["alpha2"]
-    rinv = solve_triangular(r_chol, np.eye(2 * m), lower=True, check_finite=False)
+    # the identity is Fortran-ordered, so the solve overwrites it in place
+    rinv = solve_triangular(r_chol, np.eye(2 * m, order="F"), lower=True,
+                            check_finite=False, overwrite_b=True)
     # rinv is Fortran-ordered, so dlauum overwrites it with the lower
     # triangle of G; its upper triangle stays zero and dsymm never reads it
     g, info = dlauum(rinv, lower=1, overwrite_c=1)

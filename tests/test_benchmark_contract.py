@@ -92,12 +92,13 @@ def test_every_name_the_benchmark_uses_resolves(script, module, attr):
 def test_a_gradient_step_makes_one_inverse_and_no_wide_solves(monkeypatch, mode):
     # the traced span training.solve_triangular measures the one explicit
     # R^-1 of a step; phi G comes from GEMM-class kernels, so no linalg
-    # solve may take n right-hand sides
+    # solve may take n right-hand sides. The step factors A once and
+    # takes alpha2 from that factor by one one-column solve.
     from spectral_rff import linalg, training
     from spectral_rff.measures import FrequencyBank
     from spectral_rff.model import Hyperparams
 
-    inverses, columns = [], []
+    inverses, columns, factored, factors = [], [], [], []
 
     def counting(real, log):
         def wrapper(r, b, **kwargs):
@@ -105,10 +106,19 @@ def test_a_gradient_step_makes_one_inverse_and_no_wide_solves(monkeypatch, mode)
             return real(r, b, **kwargs)
         return wrapper
 
+    def counting_factor(real):
+        def wrapper(a, *args, **kwargs):
+            factors.append(np.shape(a))
+            return real(a, *args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(training, "solve_triangular",
                         counting(training.solve_triangular, inverses))
     for name in ("solve_lower", "solve_upper"):
         monkeypatch.setattr(linalg, name, counting(getattr(linalg, name), columns))
+    monkeypatch.setattr(linalg, "solve_factored",
+                        counting(linalg.solve_factored, factored))
+    monkeypatch.setattr(linalg, "cholesky", counting_factor(linalg.cholesky))
     rng = np.random.default_rng(5)
     n, m = 50, 30
     omega = [rng.standard_normal((m, 1)) for _ in range(2)]
@@ -118,4 +128,6 @@ def test_a_gradient_step_makes_one_inverse_and_no_wide_solves(monkeypatch, mode)
     training.lml_gradient(x, np.sin(3.0 * x[:, 0]), bank,
                           Hyperparams.from_variances(1.0, 0.1), mode)
     assert len(inverses) == 1
-    assert columns and max(columns) == 1
+    assert all(c == 1 for c in columns)
+    assert factored == [1]
+    assert factors == [(2 * m, 2 * m)]

@@ -1,6 +1,7 @@
 """End-to-end command line coverage through main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,43 @@ def test_kernel_dump_flag_validation(sine_csv, tmp_path):
     assert run_cli(base + ["--anchors", "0.2,0.4"]) == 1    # 2-d anchor, 1-d model
     assert run_cli(base + ["--anchors", ";"]) == 1
     assert run_cli(base + ["--anchors", "0.2,0.3;0.4"]) == 1
+
+
+@pytest.mark.parametrize("command,output", [
+    (["predict", "--data", "far.csv"], "predictions.csv"),
+    (["grid", "--grid", "0:inf:5"], "grid.csv"),
+    (["kernel-dump", "--anchors", "0.2", "--window", "inf"], "kernel_anchor0.csv"),
+], ids=["predict", "grid", "kernel-dump"])
+def test_non_finite_inputs_fail_with_one_line_and_no_output(
+        sine_csv, tmp_path, capsys, command, output):
+    # a finite 1e308 overflows when standardized; an infinite grid bound
+    # or window spans no finite grid. Each used to exit 0 writing nan
+    # fields, with numpy warnings on stderr.
+    model_path = fitted_model(sine_csv, tmp_path)
+    (tmp_path / "far.csv").write_text("t\n0.5\n1e308\n")
+    argv = [tmp_path / a if a == "far.csv" else a for a in command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([*map(str, argv), "--model", str(model_path),
+                        "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not (out / output).exists()
+    if command[0] == "predict":
+        assert "data row 2" in err[0]
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--sigma-p"])
+def test_fit_refuses_non_finite_flag_values_by_name(sine_csv, tmp_path, capsys, flag):
+    # --lr inf used to pass TrainConfig and end as exit 2, "numerical
+    # failure: log_sigma_f2 diverged to inf"
+    argv = fit_args(sine_csv, tmp_path / "run")
+    argv[argv.index(flag) + 1] = "inf"
+    assert run_cli(argv) == 1
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.json").exists()
 
 
 def test_spectrum_outputs_and_determinism(tmp_path):

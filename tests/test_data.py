@@ -173,6 +173,9 @@ def test_grid_spec_validation():
         GridSpec((0.0,), (0.0,), (3,))
     with pytest.raises(ValueError):
         GridSpec((0.0, 0.0), (1.0,), (3, 3))
+    for lo, hi in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec((lo,), (hi,), (3,))
     assert GridSpec((0.0, 1.0), (1.0, 2.0), (3, 4)).dim == 2
 
 

@@ -55,8 +55,62 @@ def test_cholesky_rejects_nan_before_checking_symmetry():
     # NaN skew compares false against the tolerance, so the finiteness
     # check must come first; this matrix is asymmetric as well
     a = np.array([[1.0, 5.0], [0.0, np.nan]])
-    with pytest.raises(FactorizationFailed):
+    with pytest.raises(FactorizationFailed, match="non-finite"):
         linalg.cholesky(a)
+    # a symmetric NaN is not equal to itself, so it must not reach dpotrf
+    # through the exact-symmetry fast path either
+    with pytest.raises(FactorizationFailed, match="non-finite"):
+        linalg.cholesky(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_cholesky_factor_is_fortran_ordered_and_exactly_lower(rng):
+    b = rng.standard_normal((30, 12))
+    r, _ = linalg.cholesky(linalg.gram(b) + np.eye(12))
+    assert r.flags.f_contiguous
+    assert not np.any(np.triu(r, 1))
+
+
+def test_cholesky_climbs_the_jitter_ladder_one_dpotrf_per_rung(monkeypatch):
+    # indefinite by 3e-9 with mean diagonal 0.5: dpotrf reports a
+    # non-positive pivot (info > 0) at the 0 and 1e-10 rungs and
+    # succeeds at 1e-8, adding 5e-9 to the diagonal
+    a = np.diag([1.0, -3e-9])
+    pivots = []
+
+    def counting(target, **kwargs):
+        pivots.append(target[1, 1])
+        return real(target, **kwargs)
+
+    real = linalg.dpotrf
+    monkeypatch.setattr(linalg, "dpotrf", counting)
+    r, jitter = linalg.cholesky(a)
+    assert jitter == pytest.approx(5e-9, rel=1e-12)
+    np.testing.assert_allclose(pivots, [-3e-9, -3e-9 + 5e-11, 2e-9], rtol=1e-6)
+    np.testing.assert_allclose(r @ r.T, a + jitter * np.eye(2), atol=1e-15)
+
+
+def test_cholesky_raises_when_dpotrf_rejects_an_argument(monkeypatch):
+    monkeypatch.setattr(linalg, "dpotrf", lambda a, **kwargs: (a, -4))
+    with pytest.raises(FactorizationFailed, match="argument 4"):
+        linalg.cholesky(np.eye(2))
+
+
+def test_solve_factored_inverts_the_factored_matrix(rng):
+    b = rng.standard_normal((5, 5))
+    a = b @ b.T + 5 * np.eye(5)
+    r, _ = linalg.cholesky(a)
+    rhs = rng.standard_normal(5)
+    np.testing.assert_allclose(a @ linalg.solve_factored(r, rhs), rhs, rtol=1e-12, atol=1e-12)
+    with pytest.raises(DimensionMismatch):
+        linalg.solve_factored(r, np.ones(4))
+    with pytest.raises(DimensionMismatch):
+        linalg.solve_factored(r, np.ones((5, 1, 1)))
+
+
+def test_inverse_lower_matches_a_triangular_solve(rng):
+    b = rng.standard_normal((6, 6))
+    r, _ = linalg.cholesky(b @ b.T + 6 * np.eye(6))
+    np.testing.assert_allclose(linalg.inverse_lower(r) @ r, np.eye(6), atol=1e-12)
 
 
 def test_cholesky_jitter_rescues_singular_matrix():

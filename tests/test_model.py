@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from spectral_rff import model
 from spectral_rff.data import StandardizationStats
@@ -17,7 +18,7 @@ from spectral_rff.measures import FrequencyBank, GaussianSE, sample_stationary
 from spectral_rff.model import (Hyperparams, dense_conditioning, fit_state,
                                 load_model, log_marginal_likelihood_direct,
                                 log_marginal_likelihood_reduced, predict,
-                                ridge_term, save_model)
+                                reduced_core, ridge_term, save_model)
 from tests.conftest import random_instance
 
 
@@ -110,6 +111,37 @@ def test_normal_equations_residual():
                                rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(state.r.T @ state.alpha2, state.alpha1,
                                rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", [STATIONARY, NONSTATIONARY])
+@pytest.mark.parametrize("n,m", [(40, 60), (900, 12)])   # 2m > n and n >> 2m
+def test_reduced_core_matches_the_two_solve_formula(mode, n, m):
+    # the reference factors with numpy and takes alpha1 = R^-1 b, then
+    # alpha2 = R^-T alpha1 and L from |alpha1|^2
+    rng = seeded_rng(808)
+    omega = [2.0 * rng.standard_normal((m, 2)) for _ in range(2)]
+    bank = (FrequencyBank(omega[0], stationary=True) if mode == STATIONARY
+            else FrequencyBank(*omega, stationary=False))
+    x = rng.uniform(-1.0, 1.0, size=(n, 2))
+    y = np.sin(3.0 * x[:, 0]) * x[:, 1] + 0.1 * rng.standard_normal(n)
+    hyper = Hyperparams.from_variances(1.3, 0.05)
+    phi = features_for_mode(x, bank, mode)
+
+    ridge = ridge_term(m, mode, hyper)
+    r_ref = np.linalg.cholesky(phi.phi.T @ phi.phi + ridge * np.eye(2 * m))
+    alpha1_ref = solve_triangular(r_ref, phi.phi.T @ y, lower=True)
+    alpha2_ref = solve_triangular(r_ref.T, alpha1_ref, lower=False)
+    lml_ref = (-(y @ y - alpha1_ref @ alpha1_ref) / (2.0 * hyper.sigma_n2)
+               - np.sum(np.log(np.diagonal(r_ref))) + m * np.log(ridge)
+               - 0.5 * n * np.log(2.0 * np.pi * hyper.sigma_n2))
+
+    core = reduced_core(phi, y, hyper)
+    state = fit_state(phi, y, hyper, bank)
+    assert core["jitter"] == 0.0
+    np.testing.assert_allclose(core["lml"], lml_ref, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(core["alpha2"], alpha2_ref, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(state.alpha1, alpha1_ref, rtol=1e-10, atol=0)
+    np.testing.assert_array_equal(state.alpha2, core["alpha2"])
 
 
 def test_zero_targets_give_zero_mean_and_noise_floor_variance(rng):
@@ -214,9 +246,11 @@ def test_model_round_trip_reproduces_predictions_bitwise(tmp_path):
     state = fit_state(features_for_mode(x, bank, NONSTATIONARY), y, hyper,
                       bank, standardization=stats,
                       input_columns=[f"x{i}" for i in range(x.shape[1])])
+    assert not np.any(np.triu(state.r, 1))
     path = tmp_path / "model.json"
     save_model(path, state)
     loaded = load_model(path)
+    np.testing.assert_array_equal(loaded.r, state.r)
     x_star = rng.uniform(-2.0, 2.0, size=(5, x.shape[1]))
     mean_a, var_a = predict(state, x_star)
     mean_b, var_b = predict(loaded, x_star)

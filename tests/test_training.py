@@ -245,6 +245,10 @@ def test_train_config_validation():
         TrainConfig(validation_fraction=1.0)
     with pytest.raises(ValueError):
         TrainConfig(dropout_sigma_p=-0.1)
+    for field in ("learning_rate", "adam_eps", "dropout_sigma_p"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{field: value})
     assert TrainConfig(mode=STATIONARY_FIXED).feature_mode == features.STATIONARY
     assert TrainConfig(mode=NONSTATIONARY_LEARNED).feature_mode == features.NONSTATIONARY
     assert set(MODES) == {STATIONARY_FIXED, STATIONARY_LEARNED, NONSTATIONARY_LEARNED}
