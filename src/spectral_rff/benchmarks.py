@@ -48,6 +48,11 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 50:
             raise InvalidSpec(f"benchmark needs n >= 50, got {self.n}")
+        for key in ("noise", "chirp_rate", "chirp_accel", "changepoint",
+                    "lengthscale_left", "lengthscale_right"):
+            if not np.isfinite(getattr(self, key)):
+                raise InvalidSpec(f"{key} must be a finite number, "
+                                  f"got {getattr(self, key)!r}")
         if self.noise < 0:
             raise InvalidSpec("noise standard deviation must be nonnegative")
         if self.lengthscale_left <= 0 or self.lengthscale_right <= 0:

@@ -455,7 +455,7 @@ def build_parser():
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--n", type=int, default=None,
                    help="synthetic dataset size (generator default if omitted)")
-    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--noise", type=_finite_float, default=0.05)
     p.add_argument("--m", type=int, default=None,
                    help="stationary bank size; the learned arm gets m/2 pairs")
     p.add_argument("--max-steps", type=int, default=None)
@@ -478,6 +478,9 @@ def main(argv=None):
         return EXIT_NUMERICAL
     except (SpectralRffError, OSError, ValueError) as exc:
         _log(f"error: {exc}")
+        return EXIT_VALIDATION
+    except MemoryError:
+        _log("error: out of memory; ask for fewer rows, frequencies or grid points")
         return EXIT_VALIDATION
 
 

@@ -5,30 +5,34 @@ For features phi (n x 2m) with prior weight variance s = sigma_f^2 / M
 
     y = phi w + eps,   w ~ N(0, s I),   eps ~ N(0, sigma_n^2 I)
 
-has marginal covariance s phi phi' + sigma_n^2 I. All inference runs
-through the 2m x 2m system
+has marginal covariance s phi phi' + sigma_n^2 I. With
+r = M sigma_n^2 / sigma_f^2, the 2m x 2m A = phi' phi + r I and the
+n x n B = phi phi' + r I share their eigenvalues except for |2m - n|
+extra ones equal to r, and phi A^-1 = B^-1 phi. Inference factors the
+smaller, C = R R' of order k = min(n, 2m) (LAPACK dpotrf), so with
+b = phi' y and e = 2m - k
 
-    A = phi' phi + r I,      r = M sigma_n^2 / sigma_f^2,
+    alpha2 = A^-1 b = C^-1 b (C = A)  or  phi' C^-1 y (C = B),
+    log|A| = 2 sum_i log R_ii + e log r,
 
-factored once as A = R R' with R lower triangular (LAPACK dpotrf).
-With b = phi' y, alpha2 = A^-1 b comes from one dpotrs on the factor,
-and alpha1 = R^-1 b satisfies |alpha1|^2 = b' A^-1 b = b' alpha2, so the
-log marginal likelihood
+each by one dpotrs, and |alpha1|^2 = b' A^-1 b = b' alpha2 gives
 
-    L = -(|y|^2 - b' alpha2) / (2 sigma_n^2) - sum_i log R_ii
+    L = -(|y|^2 - b' alpha2) / (2 sigma_n^2) - log|A| / 2
         + m log r - (n / 2) log(2 pi sigma_n^2)
 
-needs no triangular solve; alpha1 itself is formed only for the saved
-model. The posterior predictive at a feature row p is
+with no triangular solve. The saved model holds the factor R_A of A
+itself and alpha1 = R_A^-1 b. The posterior predictive at a feature
+row p is
 
     mean = p' alpha2,
-    var  = sigma_n^2 (1 + |R^-1 p|^2),
+    var  = sigma_n^2 (1 + |R_A^-1 p|^2),
 
-with R^-1 formed once per predict call, so each row chunk's |R^-1 p|^2
-is one triangular multiply. Both agree with dense conditioning on the
-induced kernel to rounding.
-A dense O(n^3) path is kept alongside as the oracle for tests; nothing
-in the fit/predict path ever materializes an n x n matrix.
+with R_A^-1 formed once per predict call, so each row chunk's
+|R_A^-1 p|^2 is one triangular multiply. Both agree with dense
+conditioning on the induced kernel to rounding. A dense O(n^3) path is
+kept alongside as the oracle for tests. Besides the features, a
+training step holds no matrix larger than min(n, 2m)^2; only fit_state
+and predict hold the 2m x 2m R_A.
 """
 
 import json
@@ -106,47 +110,72 @@ class FitState:
     input_columns: list = None
 
 
-def reduced_core(phi, y, hyper):
-    """Factor the reduced system and evaluate the log marginal likelihood.
-
-    Returns a dict with r (Cholesky factor), b = phi' y, alpha2, ridge,
-    jitter, lml, |y|^2 (yy) and |alpha1|^2 = b' alpha2, |alpha2|^2
-    (a1_sq, a2_sq); shared by the public entry points and the trainer.
-    """
+def _targets(phi, y):
     y = np.asarray(y, dtype=float).ravel()
-    mat = phi.phi
-    n = mat.shape[0]
-    if y.shape[0] != n:
-        raise DimensionMismatch(f"{n} feature rows but {y.shape[0]} targets")
-    m = phi.m
-    ridge = ridge_term(m, phi.mode, hyper)
+    if y.shape[0] != phi.phi.shape[0]:
+        raise DimensionMismatch(
+            f"{phi.phi.shape[0]} feature rows but {y.shape[0]} targets")
+    return y
+
+
+def _factor_gram(mat, ridge):
+    """Cholesky factor of mat' mat + ridge I and the jitter it took."""
     a = linalg.gram(mat)
     a[np.diag_indices_from(a)] += ridge
-    r, jitter = linalg.cholesky(a)
+    return linalg.cholesky(a)
+
+
+def reduced_core(phi, y, hyper):
+    """Factor the smaller Gram system and evaluate the log marginal likelihood.
+
+    The factored system C is A = phi' phi + r I when n >= 2m and
+    B = phi phi' + r I when n < 2m (module docstring). Returns a dict
+    with chol (lower Cholesky factor of C, k x k with k = min(n, 2m)),
+    alpha2, ridge, jitter, lml, |y|^2 (yy) and |alpha1|^2 = b' alpha2,
+    |alpha2|^2 (a1_sq, a2_sq); shared by the public entry points and the
+    trainer.
+    """
+    y = _targets(phi, y)
+    mat = phi.phi
+    n = mat.shape[0]
+    m = phi.m
+    ridge = ridge_term(m, phi.mode, hyper)
     b = mat.T @ y
-    alpha2 = linalg.solve_factored(r, b)
+    if n >= 2 * m:
+        chol, jitter = _factor_gram(mat, ridge)
+        alpha2 = linalg.solve_factored(chol, b)
+    else:
+        chol, jitter = _factor_gram(mat.T, ridge)
+        alpha2 = mat.T @ linalg.solve_factored(chol, y)
     sigma_n2 = hyper.sigma_n2
     yy = float(y @ y)
     a1_sq = float(b @ alpha2)
+    # -log|A| / 2 + m log r, with log|A| = 2 sum log R_ii + (2m - k) log r
     lml = (-(yy - a1_sq) / (2.0 * sigma_n2)
-           - float(np.sum(np.log(np.diagonal(r))))
-           + m * np.log(ridge)
+           - float(np.sum(np.log(np.diagonal(chol))))
+           + 0.5 * chol.shape[0] * np.log(ridge)
            - 0.5 * n * np.log(2.0 * np.pi * sigma_n2))
-    return {"r": r, "b": b, "alpha2": alpha2, "ridge": ridge,
+    return {"chol": chol, "alpha2": alpha2, "ridge": ridge,
             "jitter": jitter, "lml": float(lml), "yy": yy, "a1_sq": a1_sq,
             "a2_sq": float(alpha2 @ alpha2)}
 
 
 def fit_state(phi, y, hyper, bank, standardization=None, input_columns=None):
-    """Solve the reduced system once and package everything needed to predict."""
-    core = reduced_core(phi, y, hyper)
-    alpha1 = linalg.solve_lower(core["r"], core["b"])
-    return FitState(core["r"], alpha1, core["alpha2"], hyper, bank,
-                    phi.mode, core["jitter"], standardization, input_columns)
+    """Factor A = phi' phi + r I itself, whatever n is, and package
+    everything needed to predict: predict and model.json use its factor."""
+    y = _targets(phi, y)
+    mat = phi.phi
+    r, jitter = _factor_gram(mat, ridge_term(phi.m, phi.mode, hyper))
+    b = mat.T @ y
+    alpha2 = linalg.solve_factored(r, b)
+    alpha1 = linalg.solve_lower(r, b)
+    return FitState(r, alpha1, alpha2, hyper, bank, phi.mode, jitter,
+                    standardization, input_columns)
 
 
 def log_marginal_likelihood_reduced(phi, y, hyper):
-    """O(n m^2) log marginal likelihood through the 2m x 2m system."""
+    """O(n 2m min(n, 2m)) log marginal likelihood through the smaller
+    Gram system."""
     return reduced_core(phi, y, hyper)["lml"]
 
 

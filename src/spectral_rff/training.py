@@ -21,16 +21,19 @@ is where the trace and |alpha2| terms come from), and |alpha1|^2 = b' alpha2
 as the model module computes it. Every formula is checked against
 central finite differences in the test suite.
 
-G is formed once per step with level-3 kernels, never by triangular
-solves against phi: with A = R R' from the one dpotrf of the model
-core (which also gives alpha2 by one dpotrs), one triangular solve
-against an identity it overwrites gives R^-1, LAPACK dlauum turns it in
-place into R^-T R^-1 = G (lower triangle), tr(G) is read off its
-diagonal, and one BLAS dsymm adds -phi G onto the outer-product term of
-phibar. Each step is O(n m^2 + m^3). LAPACK dpotri would form G in one
-call, but the solve is kept because the benchmark's tracer measures it
-by the name training.solve_triangular; dropping that name is a change
-to the benchmark first.
+The model core factors the smaller Gram system C = R R' of order
+k = min(n, 2m): A when n >= 2m, else B = phi phi' + r I. With
+e = 2m - k, tr(G) = tr(C^-1) + e / r and phi G = C^-1 phi when C = B
+(the model module's docstring says why). C^-1 is formed once per step
+with level-3 kernels, never by triangular solves against phi: one
+triangular solve against an identity it overwrites gives R^-1, LAPACK
+dlauum turns it in place into R^-T R^-1 = C^-1 (lower triangle),
+tr(C^-1) is read off its diagonal, and one BLAS dsymm adds -phi G onto
+the outer-product term of phibar. Each step is O(n 2m min(n, 2m)).
+LAPACK dpotri would form C^-1 in one call, but the solve is kept
+because the benchmark's tracer measures it by the name
+training.solve_triangular; dropping that name is a change to the
+benchmark first.
 
 Gaussian dropout multiplies each frequency entry by an independent
 N(1, sigma_p^2) draw, fresh at every step; the noisy bank is used for
@@ -210,25 +213,28 @@ def lml_gradient(x, y, bank, hyper, mode):
     blocks = list(trig_blocks(x, bank, fmode))
     phi = sum_blocks(blocks, m, fmode)
     core = model.reduced_core(phi, y, hyper)
-    r_chol, alpha2 = core["r"], core["alpha2"]
+    chol, alpha2 = core["chol"], core["alpha2"]
+    k = chol.shape[0]
     # the identity is Fortran-ordered, so the solve overwrites it in place
-    rinv = solve_triangular(r_chol, np.eye(2 * m, order="F"), lower=True,
+    rinv = solve_triangular(chol, np.eye(k, order="F"), lower=True,
                             check_finite=False, overwrite_b=True)
     # rinv is Fortran-ordered, so dlauum overwrites it with the lower
-    # triangle of G; its upper triangle stays zero and dsymm never reads it
-    g, info = dlauum(rinv, lower=1, overwrite_c=1)
+    # triangle of C^-1; its upper triangle stays zero and dsymm never reads it
+    cinv, info = dlauum(rinv, lower=1, overwrite_c=1)
     if info != 0:
         raise FactorizationFailed(f"dlauum failed with info={info}")
+    tr_g = float(np.trace(cinv)) + (2 * m - k) / core["ridge"]
     grads = log_variance_grads(core["ridge"], hyper.sigma_n2, core["yy"], core["a1_sq"],
-                               core["a2_sq"], float(np.trace(g)), m, y.shape[0])
+                               core["a2_sq"], tr_g, m, y.shape[0])
     if trained:
         resid = y - phi.phi @ alpha2
-        # phibar' = alpha2 resid' / sigma_n^2 - G phi' in one dsymm, written
-        # into the outer product through its Fortran-ordered transpose;
-        # phi.T is a Fortran view too, so f2py copies neither
-        phibar = dsymm(-1.0, g, phi.phi.T, beta=1.0,
+        # phibar' = alpha2 resid' / sigma_n^2 - (phi G)' in one dsymm, written
+        # into the outer product through its Fortran-ordered transpose:
+        # (phi G)' is C^-1 phi' when C = A (side 0) and phi' C^-1 when C = B
+        # (side 1); phi.T is a Fortran view too, so f2py copies neither
+        phibar = dsymm(-1.0, cinv, phi.phi.T, beta=1.0,
                        c=np.outer(resid / hyper.sigma_n2, alpha2).T,
-                       side=0, lower=1, overwrite_c=1).T
+                       side=int(k < 2 * m), lower=1, overwrite_c=1).T
         cbar, sbar = phibar[:, :m], phibar[:, m:]
         for key, (c, s) in zip(trained, blocks):
             grads[key] = (sbar * c - cbar * s).T @ x
@@ -238,20 +244,32 @@ def lml_gradient(x, y, bank, hyper, mode):
 class _FixedBankObjective:
     """Hyperparameter-only objective for a frozen feature matrix.
 
-    One eigendecomposition G = Q diag(lam) Q' of phi' phi makes each
-    step O(m): with btilde = Q' phi' y and d = lam + r,
+    One eigendecomposition phi' phi = Q diag(lam) Q' makes each step
+    O(m): with btilde = Q' phi' y and d = lam + r,
 
         |alpha1|^2 = sum btilde^2 / d     log|A| = sum log d
         |alpha2|^2 = sum btilde^2 / d^2   tr A^-1 = sum 1 / d.
+
+    When n < 2m the n x n phi phi' = U diag(lam) U' is decomposed
+    instead; Q = phi' U diag(lam)^-1/2 gives btilde = sqrt(lam) U' y,
+    and the other 2m - n eigenvalues are zero, so both are zero-padded.
     """
 
     def __init__(self, x, y, bank, fmode):
         phi = features_for_mode(x, bank, fmode).phi
-        lam, q = np.linalg.eigh(linalg.gram(phi))
-        self.lam = np.clip(lam, 0.0, None)
-        self.btilde = q.T @ (phi.T @ y)
+        n, k = phi.shape
+        if n < k:
+            lam, u = np.linalg.eigh(linalg.gram(phi.T))
+            lam = np.clip(lam, 0.0, None)
+            pad = np.zeros(k - n)
+            self.lam = np.concatenate([lam, pad])
+            self.btilde = np.concatenate([np.sqrt(lam) * (u.T @ y), pad])
+        else:
+            lam, q = np.linalg.eigh(linalg.gram(phi))
+            self.lam = np.clip(lam, 0.0, None)
+            self.btilde = q.T @ (phi.T @ y)
         self.yy = float(y @ y)
-        self.n = y.shape[0]
+        self.n = n
         self.m = bank.m
         self.mult = ridge_multiplier(bank.m, fmode)
 

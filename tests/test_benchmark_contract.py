@@ -92,8 +92,9 @@ def test_every_name_the_benchmark_uses_resolves(script, module, attr):
 def test_a_gradient_step_makes_one_inverse_and_no_wide_solves(monkeypatch, mode):
     # the traced span training.solve_triangular measures the one explicit
     # R^-1 of a step; phi G comes from GEMM-class kernels, so no linalg
-    # solve may take n right-hand sides. The step factors A once and
-    # takes alpha2 from that factor by one one-column solve.
+    # solve may take n right-hand sides. The step factors the smaller of
+    # the 2m x 2m and n x n Gram systems once and takes alpha2 from that
+    # factor by one one-column solve.
     from spectral_rff import linalg, training
     from spectral_rff.measures import FrequencyBank
     from spectral_rff.model import Hyperparams
@@ -120,14 +121,16 @@ def test_a_gradient_step_makes_one_inverse_and_no_wide_solves(monkeypatch, mode)
                         counting(linalg.solve_factored, factored))
     monkeypatch.setattr(linalg, "cholesky", counting_factor(linalg.cholesky))
     rng = np.random.default_rng(5)
-    n, m = 50, 30
-    omega = [rng.standard_normal((m, 1)) for _ in range(2)]
-    bank = (FrequencyBank(omega[0], stationary=True) if mode == "stationary_learned"
-            else FrequencyBank(*omega, stationary=False))
-    x = rng.uniform(-1.0, 1.0, (n, 1))
-    training.lml_gradient(x, np.sin(3.0 * x[:, 0]), bank,
-                          Hyperparams.from_variances(1.0, 0.1), mode)
-    assert len(inverses) == 1
-    assert all(c == 1 for c in columns)
-    assert factored == [1]
-    assert factors == [(2 * m, 2 * m)]
+    for n, m in ((50, 30), (80, 30)):   # 2m > n and n > 2m
+        for log in (inverses, columns, factored, factors):
+            log.clear()
+        omega = [rng.standard_normal((m, 1)) for _ in range(2)]
+        bank = (FrequencyBank(omega[0], stationary=True) if mode == "stationary_learned"
+                else FrequencyBank(*omega, stationary=False))
+        x = rng.uniform(-1.0, 1.0, (n, 1))
+        training.lml_gradient(x, np.sin(3.0 * x[:, 0]), bank,
+                              Hyperparams.from_variances(1.0, 0.1), mode)
+        assert len(inverses) == 1
+        assert all(c == 1 for c in columns)
+        assert factored == [1]
+        assert factors == [(min(n, 2 * m),) * 2]

@@ -54,6 +54,11 @@ def test_synthetic_spec_validation():
         SyntheticSpec("chirp", noise=-0.1)
     with pytest.raises(InvalidSpec):
         SyntheticSpec("chirp", lengthscale_left=0.0)
+    for key in ("noise", "chirp_rate", "chirp_accel", "changepoint",
+                "lengthscale_left", "lengthscale_right"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidSpec, match=key):
+                SyntheticSpec("chirp", **{key: bad})
 
 
 def test_constant_lengthscale_field_collapses_exactly():

@@ -256,6 +256,30 @@ def test_fit_refuses_non_finite_flag_values_by_name(sine_csv, tmp_path, capsys, 
     assert not (tmp_path / "run" / "model.json").exists()
 
 
+def test_benchmark_refuses_a_non_finite_noise(tmp_path, capsys):
+    # --noise nan used to exit 0 with a report on noiseless data: nan > 0
+    # is False, so the generator skipped the noise
+    out = tmp_path / "out"
+    argv = ["benchmark", "chirp", "--runs", "1", "--n", "60", "--m", "4",
+            "--max-steps", "2", "--noise", "nan", "--out-dir", str(out)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert "argument --noise:" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_memory_error_is_one_error_line(monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_spectrum", out_of_memory)
+    assert run_cli(["spectrum", "--spec", "se:1.0", "--m", "4"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_spectrum_outputs_and_determinism(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     args = ["spectrum", "--spec", "laplacian:2.0", "--m", "6", "--dim", "2",

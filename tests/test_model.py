@@ -13,7 +13,7 @@ from spectral_rff.errors import (DimensionMismatch, InvalidParams,
 from spectral_rff.features import (NONSTATIONARY, STATIONARY, KernelScale,
                                    features_for_mode, forbid_dense_kernel,
                                    kernel_cross, kernel_estimate)
-from spectral_rff.linalg import seeded_rng, solve_lower
+from spectral_rff.linalg import JITTER_LADDER, seeded_rng, solve_lower
 from spectral_rff.measures import FrequencyBank, GaussianSE, sample_stationary
 from spectral_rff.model import (Hyperparams, dense_conditioning, fit_state,
                                 load_model, log_marginal_likelihood_direct,
@@ -141,7 +141,54 @@ def test_reduced_core_matches_the_two_solve_formula(mode, n, m):
     np.testing.assert_allclose(core["lml"], lml_ref, rtol=1e-10, atol=0)
     np.testing.assert_allclose(core["alpha2"], alpha2_ref, rtol=1e-10, atol=0)
     np.testing.assert_allclose(state.alpha1, alpha1_ref, rtol=1e-10, atol=0)
-    np.testing.assert_array_equal(state.alpha2, core["alpha2"])
+    if n >= 2 * m:
+        np.testing.assert_array_equal(state.alpha2, core["alpha2"])
+    else:
+        # reduced_core takes alpha2 from the n x n system, fit_state from A
+        np.testing.assert_allclose(state.alpha2, alpha2_ref, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("mode", [STATIONARY, NONSTATIONARY])
+def test_reduced_core_matches_the_dense_oracle_where_the_orientation_turns(mode):
+    # n = 2m - 1 factors the n x n system, n = 2m and 2m + 1 the 2m x 2m one
+    rng = seeded_rng(909)
+    m = 12
+    for n in (2 * m - 1, 2 * m, 2 * m + 1):
+        omega = [2.0 * rng.standard_normal((m, 2)) for _ in range(2)]
+        bank = (FrequencyBank(omega[0], stationary=True) if mode == STATIONARY
+                else FrequencyBank(*omega, stationary=False))
+        x = rng.uniform(-1.0, 1.0, size=(n, 2))
+        y = np.sin(3.0 * x[:, 0]) * x[:, 1] + 0.1 * rng.standard_normal(n)
+        hyper = Hyperparams.from_variances(1.3, 0.05)
+        phi = features_for_mode(x, bank, mode)
+        core = reduced_core(phi, y, hyper)
+        assert core["chol"].shape == (min(n, 2 * m),) * 2
+        k = kernel_estimate(phi, KernelScale(hyper.sigma_f2, mode))
+        direct = log_marginal_likelihood_direct(k, y, hyper.sigma_n2)
+        assert core["lml"] == pytest.approx(direct, rel=1e-10)
+        # the posterior mean at the training rows is phi alpha2
+        mean_o, _ = dense_conditioning(k, k, np.diag(k), y, hyper.sigma_n2)
+        assert rel_err(phi.phi @ core["alpha2"], mean_o) < 1e-10
+
+
+def test_reduced_core_jitter_scales_by_the_n_by_n_diagonal():
+    # six identical rows and eight pairs: B = phi phi' + r I is the
+    # rank-one 8 J to working precision, so dpotrf needs a jitter rung,
+    # scaled by B's mean diagonal 8 rather than A's 3
+    n, m = 6, 8
+    bank = FrequencyBank(np.arange(1.0, m + 1).reshape(-1, 1), stationary=True)
+    phi = features_for_mode(np.full((n, 1), 0.3), bank, STATIONARY)
+    hyper = Hyperparams.from_variances(1.0, 1e-30)
+    core = reduced_core(phi, np.ones(n), hyper)
+    b = phi.phi @ phi.phi.T + ridge_term(m, STATIONARY, hyper) * np.eye(n)
+    scale = float(np.mean(np.diagonal(b)))
+    assert scale == pytest.approx(8.0, rel=1e-12)
+    assert core["chol"].shape == (n, n)
+    assert core["jitter"] > 0.0
+    assert any(core["jitter"] == pytest.approx(rung * scale, rel=1e-12)
+               for rung in JITTER_LADDER[1:])
+    chol = core["chol"]
+    np.testing.assert_allclose(chol @ chol.T, b + core["jitter"] * np.eye(n), atol=1e-12)
 
 
 def test_zero_targets_give_zero_mean_and_noise_floor_variance(rng):

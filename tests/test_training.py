@@ -112,18 +112,27 @@ def test_gradients_match_central_differences(mode, fmode):
 
 
 def two_solve_lml_gradient(x, y, bank, hyper, mode):
-    """Reference for lml_gradient's dlauum/dsymm core: tr(G) as |R^-1|_F^2
-    and phi G from two triangular solves with n right-hand sides."""
+    """Reference for lml_gradient's dlauum/dsymm core, whichever system it
+    factors: A = phi' phi + r I factored by numpy, alpha2 and L from that
+    factor, tr(G) as |R^-1|_F^2 and phi G from two triangular solves with
+    n right-hand sides."""
     fmode, trained = MODES[mode].features, MODES[mode].trained
     m = bank.m
     blocks = list(features.trig_blocks(x, bank, fmode))
     phi = features.sum_blocks(blocks, m, fmode)
-    core = model.reduced_core(phi, y, hyper)
-    r_chol, alpha2 = core["r"], core["alpha2"]
+    n = y.shape[0]
+    ridge = model.ridge_term(m, fmode, hyper)
+    r_chol = np.linalg.cholesky(phi.phi.T @ phi.phi + ridge * np.eye(2 * m))
+    b = phi.phi.T @ y
+    alpha1 = linalg.solve_lower(r_chol, b)
+    alpha2 = linalg.solve_upper(r_chol.T, alpha1)
+    lml = (-(y @ y - alpha1 @ alpha1) / (2.0 * hyper.sigma_n2)
+           - np.sum(np.log(np.diagonal(r_chol))) + m * np.log(ridge)
+           - 0.5 * n * np.log(2.0 * np.pi * hyper.sigma_n2))
     rinv = linalg.solve_lower(r_chol, np.eye(2 * m))
-    grads = training.log_variance_grads(core["ridge"], hyper.sigma_n2, core["yy"],
-                                        core["a1_sq"], core["a2_sq"],
-                                        float(np.sum(rinv * rinv)), m, y.shape[0])
+    grads = training.log_variance_grads(ridge, hyper.sigma_n2, float(y @ y),
+                                        float(alpha1 @ alpha1), float(alpha2 @ alpha2),
+                                        float(np.sum(rinv * rinv)), m, n)
     if trained:
         w = linalg.solve_lower(r_chol, phi.phi.T)
         phi_g = linalg.solve_upper(r_chol.T, w).T
@@ -132,20 +141,23 @@ def two_solve_lml_gradient(x, y, bank, hyper, mode):
         cbar, sbar = phibar[:, :m], phibar[:, m:]
         for key, (c, s) in zip(trained, blocks):
             grads[key] = (sbar * c - cbar * s).T @ x
-    return core["lml"], grads
+    return float(lml), grads
 
 
 @pytest.mark.parametrize("mode", [STATIONARY_LEARNED, NONSTATIONARY_LEARNED])
-@pytest.mark.parametrize("regime", ["2m > n", "n >> 2m"])
+@pytest.mark.parametrize("regime", ["2m > n", "n >> 2m", "n near 2m"])
 def test_gradient_core_matches_the_two_solve_reference(mode, regime):
     rng = seeded_rng(81)
     for _ in range(4):
         if regime == "2m > n":
             n = int(rng.integers(5, 40))
             m = int(rng.integers(n, 2 * n))
-        else:
+        elif regime == "n >> 2m":
             m = int(rng.integers(1, 9))
             n = int(rng.integers(200, 400))
+        else:
+            m = int(rng.integers(5, 30))
+            n = 2 * m + int(rng.integers(-1, 2))
         d = int(rng.integers(1, 4))
         omega1 = 3.0 * rng.standard_normal((m, d))
         bank = (FrequencyBank(omega1, stationary=True) if mode == STATIONARY_LEARNED
@@ -185,15 +197,19 @@ def test_duplicate_frequency_rows_get_equal_gradients():
 
 def test_fixed_bank_objective_agrees_with_general_path():
     rng = seeded_rng(80)
-    x, y, bank, _ = random_instance(rng, features.STATIONARY)
-    obj = _FixedBankObjective(x, y, bank, features.STATIONARY)
-    for sf2, sn2 in ((1.0, 0.1), (3.0, 0.5), (0.2, 0.01)):
-        hyper = Hyperparams.from_variances(sf2, sn2)
-        fast_val, fast_grads = obj.value_and_grads(hyper)
-        slow_val, slow_grads, _ = lml_gradient(x, y, bank, hyper, STATIONARY_FIXED)
-        assert fast_val == pytest.approx(slow_val, rel=1e-9)
-        for key in slow_grads:
-            assert fast_grads[key] == pytest.approx(slow_grads[key], rel=1e-8)
+    for n, m in ((30, 8), (12, 40)):   # n >= 2m and n < 2m
+        x = rng.standard_normal((n, 2))
+        y = rng.standard_normal(n)
+        bank = FrequencyBank(rng.standard_normal((m, 2)), stationary=True)
+        obj = _FixedBankObjective(x, y, bank, features.STATIONARY)
+        assert obj.lam.shape == obj.btilde.shape == (2 * m,)
+        for sf2, sn2 in ((1.0, 0.1), (3.0, 0.5), (0.2, 0.01), (1.0, 1e-4)):
+            hyper = Hyperparams.from_variances(sf2, sn2)
+            fast_val, fast_grads = obj.value_and_grads(hyper)
+            slow_val, slow_grads, _ = lml_gradient(x, y, bank, hyper, STATIONARY_FIXED)
+            assert fast_val == pytest.approx(slow_val, rel=1e-9)
+            for key in slow_grads:
+                assert fast_grads[key] == pytest.approx(slow_grads[key], rel=1e-8)
 
 
 # --- optimizer pieces -------------------------------------------------------
