@@ -7,7 +7,9 @@ IO), benchmarks (synthetic comparisons), linalg (seeded RNG and Cholesky
 helpers), cli (command line entry point).
 
 The package root stays import-light on purpose: the command line tool
-must be able to cap BLAS threads before numpy loads.
+must be able to cap BLAS threads before numpy loads. The submodules load
+only numpy and scipy.linalg; scipy.stats loads on the first copula or
+quantile call, and scipy.special on the first closed-form Matern kernel.
 """
 
 __version__ = "0.1.0"

@@ -7,7 +7,10 @@ diagnostics go to stderr.
 
 The numeric stack is imported inside the command handlers, not at module
 level: BLAS pools size themselves when numpy first loads, so the
-SPECTRAL_RFF_THREADS cap has to reach the environment before that.
+SPECTRAL_RFF_THREADS cap has to reach the environment before that. That
+stack is numpy and scipy.linalg; scipy.stats loads only on the first
+copula or quantile call, and scipy.special only on the first closed-form
+Matern kernel, so no fit or predict pays for them unless it uses them.
 """
 
 import argparse
@@ -66,6 +69,9 @@ def _split_names(token):
     names = [part.strip() for part in token.split(",") if part.strip()]
     if not names:
         raise InvalidSpec(f"no column names in {token!r}")
+    repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if repeated is not None:
+        raise InvalidSpec(f"column {repeated!r} is named more than once in {token!r}")
     return names
 
 
@@ -80,6 +86,8 @@ def _resolve_columns(path, inputs, output_col):
         raise MissingColumn(f"output column {out!r} not in {header}")
     if inputs is not None:
         cols = _split_names(inputs)
+        if out in cols:
+            raise InvalidSpec(f"output column {out!r} is also listed as an input")
     else:
         cols = [c for c in header if c != out]
     if not cols:

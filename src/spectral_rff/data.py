@@ -103,13 +103,19 @@ def _parse_cell(cell, row_idx, column):
 
 def _csv_records(fh, path):
     """The stripped header row of an open CSV file, then its records; a
-    parser error, such as an oversized field, becomes one MalformedCsv line."""
+    parser error, such as an oversized field, or a column named twice in
+    the header becomes one MalformedCsv line."""
     try:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header:
             raise EmptyFile(f"{path} has no header row")
-        yield [h.strip() for h in header]
+        header = [h.strip() for h in header]
+        repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if repeated is not None:
+            raise MalformedCsv(f"{path}: column {repeated!r} appears more than "
+                               f"once in the header")
+        yield header
         yield from reader
     except csv.Error as exc:
         raise MalformedCsv(f"{path}: {exc}") from None

@@ -19,7 +19,6 @@ import contextlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, kv
 
 from .errors import (DimensionMismatch, InvalidParams, ModeNormalizerMismatch,
                      UnsupportedSpec)
@@ -166,6 +165,8 @@ def kernel_matrix(spec, xa, xb):
             raise DimensionMismatch("spec dimension does not match inputs")
         return np.exp(-np.sum(spec.scales * np.abs(delta), axis=2))
     if isinstance(spec, MaternT):
+        from scipy.special import gammaln, kv
+
         lam, s = spec.smoothness, spec.scale
         r = np.sqrt(2.0 * lam) * np.sqrt(np.sum(delta * delta, axis=2)) / s
         out = np.ones_like(r)

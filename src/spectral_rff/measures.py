@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import cauchy, norm
-from scipy.stats import t as student_t
 
 from . import linalg
 from .errors import (FactorizationFailed, IncompatibleDims, InvalidSpec,
@@ -316,6 +314,8 @@ def gaussian_copula_transform(z, marginals):
     if len(marginals) != z.shape[1]:
         raise IncompatibleDims(
             f"{len(marginals)} marginals for {z.shape[1]} columns")
+    from scipy.stats import norm
+
     u = norm.cdf(z)
     eps = np.finfo(float).tiny
     np.clip(u, eps, np.nextafter(1.0, 0.0), out=u)
@@ -330,6 +330,9 @@ def gaussian_copula_transform(z, marginals):
 
 def quantile_fn(spec):
     """Quantile function of a one-dimensional named measure."""
+    from scipy.stats import cauchy, norm
+    from scipy.stats import t as student_t
+
     if isinstance(spec, GaussianSE) and spec.dim == 1:
         l = float(spec.lengthscales[0])
         return lambda u: norm.ppf(u) / l
@@ -345,6 +348,9 @@ def quantile_fn(spec):
 
 def cdf_fn(spec):
     """CDF of a one-dimensional named measure (for goodness-of-fit tests)."""
+    from scipy.stats import cauchy, norm
+    from scipy.stats import t as student_t
+
     if isinstance(spec, GaussianSE) and spec.dim == 1:
         l = float(spec.lengthscales[0])
         return lambda w: norm.cdf(np.asarray(w) * l)

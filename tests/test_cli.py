@@ -104,6 +104,31 @@ def test_fit_rejects_unknown_output_column(sine_csv, tmp_path):
                             extra=["--output-col", "z"])) == 1
 
 
+def assert_one_error_line(capsys, *words):
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert all(w in err[0] for w in words), err
+    assert captured.out == ""
+
+
+def test_fit_refuses_the_output_column_as_an_input(sine_csv, tmp_path, capsys):
+    # --inputs y --output-col y used to train y on itself (corr 0.9999)
+    out = tmp_path / "run"
+    argv = fit_args(sine_csv, out, extra=["--inputs", "y", "--output-col", "y"])
+    assert run_cli(argv) == 1
+    assert_one_error_line(capsys, "'y'", "input")
+    assert not out.exists()
+
+
+def test_fit_refuses_a_repeated_input_column(sine_csv, tmp_path, capsys):
+    # --inputs t,t used to fit a 2-d model on two copies of one column
+    out = tmp_path / "run"
+    assert run_cli(fit_args(sine_csv, out, extra=["--inputs", "t,t"])) == 1
+    assert_one_error_line(capsys, "'t'", "more than once")
+    assert not out.exists()
+
+
 def fitted_model(sine_csv, tmp_path):
     out = tmp_path / "fit"
     assert run_cli(fit_args(sine_csv, out)) == 0
@@ -142,6 +167,19 @@ def test_predict_dimension_mismatch_fails_cleanly(sine_csv, tmp_path):
     assert run_cli(["predict", "--model", str(model_path), "--data",
                     str(wide), "--inputs", "a,b",
                     "--out-dir", str(out)]) == 1
+    assert not (out / "predictions.csv").exists()
+
+
+def test_predict_refuses_a_header_that_repeats_a_column(sine_csv, tmp_path, capsys):
+    # a header t,t used to predict from whichever column came first
+    model_path = fitted_model(sine_csv, tmp_path)
+    capsys.readouterr()
+    twice = tmp_path / "twice.csv"
+    twice.write_text("t,t\n0.1,0.9\n0.2,0.8\n")
+    out = tmp_path / "out"
+    assert run_cli(["predict", "--model", str(model_path), "--data",
+                    str(twice), "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, "twice.csv", "'t'", "more than once")
     assert not (out / "predictions.csv").exists()
 
 
