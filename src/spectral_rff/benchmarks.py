@@ -225,7 +225,7 @@ def compare(bench, runs, configs, train_fraction=0.7):
     return report
 
 
-def chirp_arm_configs(m_total=600, max_steps=450, sigma_p=0.05):
+def chirp_arm_configs(m_total=600, max_steps=450, sigma_p=0.05, learned_rate=0.3):
     """Frozen fixed-vs-learned pairing for the chirp series.
 
     The stationary arm keeps its full m_total bank fixed and fits only
@@ -240,18 +240,12 @@ def chirp_arm_configs(m_total=600, max_steps=450, sigma_p=0.05):
                         max_steps=max_steps, patience=10, eval_every=25,
                         dropout_sigma_p=0.0)
     learned = TrainConfig(mode=NONSTATIONARY_LEARNED, m=m_pairs,
-                          learning_rate=0.3, max_steps=max_steps, patience=10,
-                          eval_every=25, dropout_sigma_p=sigma_p)
+                          learning_rate=learned_rate, max_steps=max_steps,
+                          patience=10, eval_every=25, dropout_sigma_p=sigma_p)
     return {STATIONARY_FIXED: fixed, NONSTATIONARY_LEARNED: learned}
 
 
 def step_field_arm_configs(m_total=100, max_steps=300, sigma_p=0.05):
-    """Frozen fixed-vs-learned pairing for the step-lengthscale field."""
-    m_pairs = max(1, m_total // 2)
-    fixed = TrainConfig(mode=STATIONARY_FIXED, m=m_total, learning_rate=0.05,
-                        max_steps=max_steps, patience=10, eval_every=25,
-                        dropout_sigma_p=0.0)
-    learned = TrainConfig(mode=NONSTATIONARY_LEARNED, m=m_pairs,
-                          learning_rate=0.1, max_steps=max_steps, patience=10,
-                          eval_every=25, dropout_sigma_p=sigma_p)
-    return {STATIONARY_FIXED: fixed, NONSTATIONARY_LEARNED: learned}
+    """The chirp's pairing for the step-lengthscale field: only the
+    learned arm's rate differs."""
+    return chirp_arm_configs(m_total, max_steps, sigma_p, learned_rate=0.1)

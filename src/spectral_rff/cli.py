@@ -49,6 +49,14 @@ def _log(message):
     print(message, file=sys.stderr)
 
 
+def _check_memory(nbytes, what):
+    """Refuse ``nbytes`` beyond physical memory, before anything is allocated."""
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > total:
+        raise InvalidSpec(f"{what} needs about {nbytes / 2 ** 30:.3g} GiB, more than "
+                          f"the {total / 2 ** 30:.3g} GiB of physical memory")
+
+
 def apply_thread_cap(environ=os.environ):
     """Copy SPECTRAL_RFF_THREADS into the BLAS thread-count variables."""
     cap = environ.get("SPECTRAL_RFF_THREADS")
@@ -168,6 +176,8 @@ def cmd_fit(args):
                          patience=args.patience, eval_every=args.eval_every,
                          validation_fraction=args.val_frac,
                          dropout_sigma_p=args.sigma_p, seed=args.seed)
+    # four n x 2m step buffers, then fit_state's 2m x 2m system and factor
+    _check_memory(16 * args.m * (4 * dataset.n + 4 * args.m), f"fit with --m {args.m}")
     spec_init = _resolve_spec(args.spec, dataset.dim)
     _log(f"fit: {dataset.n} rows, dim {dataset.dim}, mode {args.mode}, m {args.m}")
     state, trace, mse, corr, _ = fit_and_score(dataset, config, args.split, spec_init)
@@ -251,6 +261,9 @@ def cmd_grid(args):
     if len(spec.counts) != state.bank.dim:
         raise SchemaMismatch(f"model expects {state.bank.dim} grid axes, "
                              f"got {len(spec.counts)}")
+    # the grid, its standardized copy and four output columns
+    count = math.prod(spec.counts)
+    _check_memory(8 * count * (2 * spec.dim + 4), f"grid of {count} points")
     x = data.make_grid(spec)
     mean, var = _predict_data_units(state, x)
     cols = state.input_columns or [f"x{i + 1}" for i in range(state.bank.dim)]
@@ -319,6 +332,8 @@ def cmd_spectrum(args):
     from . import data, measures
     from .linalg import seeded_rng
 
+    # two frequency sets and the draws they are scaled from
+    _check_memory(32 * args.m * args.dim, f"spectrum with --m {args.m}")
     spec = _resolve_spec(args.spec, args.dim)
     if spec is None or isinstance(spec, measures.FrequencyBank):
         raise InvalidSpec("spectrum needs a named measure or a measure JSON file")

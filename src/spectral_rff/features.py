@@ -69,45 +69,54 @@ def _as_inputs(x, bank):
     return x
 
 
-def trig_blocks(x, bank, mode):
+class FeatureBuffers:
+    """Arrays a map of up to ``rows`` inputs writes into: (2, rows, m)
+    (cos, sin) ``pairs``, bank i using pairs[i % len(pairs)], and the
+    (rows, 2m) ``phi``. Fewer rows use leading-row views."""
+
+    def __init__(self, rows, m, pairs):
+        self.pairs = [np.empty((2, rows, m)) for _ in range(pairs)]
+        self.phi = np.empty((rows, 2 * m))
+
+
+def trig_blocks(x, bank, mode, buffers=None):
     """Yield (cos X W', sin X W') for each bank the mode's map sums.
 
-    A block pair is dropped here once the caller asks for the next one.
+    A pair is written into ``buffers`` when given; a fresh one is dropped
+    here once the caller asks for the next one.
     """
     banks = _banks(mode)
     if banks == 1 and not bank.stationary:
         raise ValueError("stationary features need a stationary bank")
     x = _as_inputs(x, bank)
-    for omega in (bank.omega1, bank.omega2)[:banks]:
-        p = x @ omega.T
-        c = np.cos(p)
-        yield c, np.sin(p, out=p)
-        del c, p
+    for i, omega in enumerate((bank.omega1, bank.omega2)[:banks]):
+        c, s = (np.empty((2, x.shape[0], bank.m)) if buffers is None
+                else buffers.pairs[i % len(buffers.pairs)][:, :x.shape[0]])
+        np.matmul(x, omega.T, out=s)   # the sine overwrites the product
+        np.cos(s, out=c)
+        yield c, np.sin(s, out=s)
+        del c, s
 
 
-def sum_blocks(blocks, m, mode):
-    """Feature matrix [sum of cos blocks, sum of sin blocks].
+def sum_blocks(blocks, m, mode, buffers=None):
+    """Feature matrix [sum of cos blocks, sum of sin blocks], written into
+    ``buffers.phi`` when given.
 
     Fed straight from trig_blocks, it holds one bank's blocks at a time.
     """
     blocks = iter(blocks)
-    phi = np.hstack(next(blocks))
+    c, s = next(blocks)
+    phi = np.concatenate((c, s), axis=1,
+                         out=None if buffers is None else buffers.phi[:len(c)])
+    del c, s
     for c, s in blocks:
         phi[:, :m] += c
         phi[:, m:] += s
     return FeatureMatrix(phi, m, mode)
 
 
-def features_for_mode(x, bank, mode):
-    return sum_blocks(trig_blocks(x, bank, mode), bank.m, mode)
-
-
-def stationary_features(x, bank):
-    return features_for_mode(x, bank, STATIONARY)
-
-
-def nonstationary_features(x, bank):
-    return features_for_mode(x, bank, NONSTATIONARY)
+def features_for_mode(x, bank, mode, buffers=None):
+    return sum_blocks(trig_blocks(x, bank, mode, buffers), bank.m, mode, buffers)
 
 
 def ridge_multiplier(m, mode):

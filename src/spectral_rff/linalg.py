@@ -28,12 +28,13 @@ def spawn_rngs(seed, n):
             for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def cholesky(a, jitter_ladder=JITTER_LADDER):
+def cholesky(a, jitter_ladder=JITTER_LADDER, out=None):
     """Lower-triangular R with R @ R.T = a + jitter * I.
 
     The jitter is the smallest rung of ``jitter_ladder`` (scaled by the
     mean diagonal of ``a``) that lets LAPACK dpotrf succeed. R is
-    Fortran-ordered with its upper triangle exactly zero.
+    Fortran-ordered with its upper triangle exactly zero, and written into
+    ``out`` (Fortran-ordered, a's shape) when given; ``a`` is kept.
 
     ``a`` must be finite and symmetric within SYMMETRY_TOL of its largest
     entry; the tolerance test runs only when ``a`` is not exactly
@@ -60,7 +61,10 @@ def cholesky(a, jitter_ladder=JITTER_LADDER):
     for rung in jitter_ladder:
         jitter = rung * diag_scale
         target = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-        r, info = dpotrf(target, lower=1, clean=1)
+        if out is not None:   # dpotrf factors it in place
+            out[...] = target
+            target = out
+        r, info = dpotrf(target, lower=1, clean=1, overwrite_a=int(out is not None))
         if info == 0:
             return r, jitter
         if info < 0:
@@ -122,7 +126,7 @@ def solve_upper(rt, b):
     return _triangular_solve(rt, b, lower=False)
 
 
-def gram(phi):
-    """phi.T @ phi for a tall-and-skinny feature matrix."""
+def gram(phi, out=None):
+    """phi.T @ phi for a tall-and-skinny feature matrix, into ``out`` if given."""
     phi = np.asarray(phi, dtype=float)
-    return phi.T @ phi
+    return np.matmul(phi.T, phi, out=out)

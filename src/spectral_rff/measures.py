@@ -346,24 +346,6 @@ def quantile_fn(spec):
     raise UnsupportedSpec(f"no quantile function for {type(spec).__name__}")
 
 
-def cdf_fn(spec):
-    """CDF of a one-dimensional named measure (for goodness-of-fit tests)."""
-    from scipy.stats import cauchy, norm
-    from scipy.stats import t as student_t
-
-    if isinstance(spec, GaussianSE) and spec.dim == 1:
-        l = float(spec.lengthscales[0])
-        return lambda w: norm.cdf(np.asarray(w) * l)
-    if isinstance(spec, LaplacianCauchy) and spec.dim == 1:
-        s = float(spec.scales[0])
-        return lambda w: cauchy.cdf(np.asarray(w) / s)
-    if isinstance(spec, MaternT):
-        nu = 2.0 * spec.smoothness
-        s = spec.scale
-        return lambda w: student_t.cdf(np.asarray(w) * s, df=nu)
-    raise UnsupportedSpec(f"no cdf for {type(spec).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # serialization
 #

@@ -32,7 +32,9 @@ with R_A^-1 formed once per predict call, so each row chunk's
 conditioning on the induced kernel to rounding. A dense O(n^3) path is
 kept alongside as the oracle for tests. Besides the features, a
 training step holds no matrix larger than min(n, 2m)^2; only fit_state
-and predict hold the 2m x 2m R_A.
+and predict hold the 2m x 2m R_A. predict owns one chunk's buffers for
+the whole call, and reduced_core writes into the trainer's when given
+them; no other array returned here aliases a buffer.
 """
 
 import json
@@ -45,8 +47,8 @@ from . import linalg
 from .data import StandardizationStats
 from .errors import (DimensionMismatch, InvalidParams, InvalidSpec,
                      SchemaMismatch)
-from .features import (NONSTATIONARY, STATIONARY, dense_kernel_gate,
-                       features_for_mode, ridge_multiplier)
+from .features import (NONSTATIONARY, STATIONARY, FeatureBuffers,
+                       dense_kernel_gate, features_for_mode, ridge_multiplier)
 from .measures import (_decode_array, _encode_array, _json_array, _json_field,
                        _json_number, bank_from_json_dict, bank_to_json_dict)
 
@@ -118,14 +120,14 @@ def _targets(phi, y):
     return y
 
 
-def _factor_gram(mat, ridge):
+def _factor_gram(mat, ridge, buffers=None):
     """Cholesky factor of mat' mat + ridge I and the jitter it took."""
-    a = linalg.gram(mat)
+    a = linalg.gram(mat, None if buffers is None else buffers.gram)
     a[np.diag_indices_from(a)] += ridge
-    return linalg.cholesky(a)
+    return linalg.cholesky(a, out=None if buffers is None else buffers.chol)
 
 
-def reduced_core(phi, y, hyper):
+def reduced_core(phi, y, hyper, buffers=None):
     """Factor the smaller Gram system and evaluate the log marginal likelihood.
 
     The factored system C is A = phi' phi + r I when n >= 2m and
@@ -133,7 +135,8 @@ def reduced_core(phi, y, hyper):
     with chol (lower Cholesky factor of C, k x k with k = min(n, 2m)),
     alpha2, ridge, jitter, lml, |y|^2 (yy) and |alpha1|^2 = b' alpha2,
     |alpha2|^2 (a1_sq, a2_sq); shared by the public entry points and the
-    trainer.
+    trainer. C and chol are written into the k x k ``buffers.gram`` and
+    Fortran-ordered ``buffers.chol`` when given (training.StepWorkspace).
     """
     y = _targets(phi, y)
     mat = phi.phi
@@ -142,10 +145,10 @@ def reduced_core(phi, y, hyper):
     ridge = ridge_term(m, phi.mode, hyper)
     b = mat.T @ y
     if n >= 2 * m:
-        chol, jitter = _factor_gram(mat, ridge)
+        chol, jitter = _factor_gram(mat, ridge, buffers)
         alpha2 = linalg.solve_factored(chol, b)
     else:
-        chol, jitter = _factor_gram(mat.T, ridge)
+        chol, jitter = _factor_gram(mat.T, ridge, buffers)
         alpha2 = mat.T @ linalg.solve_factored(chol, y)
     sigma_n2 = hyper.sigma_n2
     yy = float(y @ y)
@@ -226,21 +229,6 @@ def _chunk_rows(m):
     return max(PREDICT_CHUNK_ALIGN, rows - rows % PREDICT_CHUNK_ALIGN)
 
 
-def _chunk_moments(state, rinv, x):
-    """Predictive mean and |R^-1 p|^2 for each row of one chunk.
-
-    A function of its own so the chunk's feature block is freed before
-    the next chunk's is built. The mean is taken first: dtrmm then
-    writes R^-1 phi' over the block through its Fortran-ordered
-    transpose, so the variance needs no second (2m, rows) array.
-    """
-    phi = features_for_mode(x, state.bank, state.mode).phi
-    mean = phi @ state.alpha2
-    v = dtrmm(1.0, rinv, phi.T, lower=1, overwrite_b=1)
-    np.square(v, out=v)
-    return mean, np.sum(v, axis=0)
-
-
 def predict(state, x_star):
     """Posterior predictive mean and variance at new inputs.
 
@@ -251,7 +239,9 @@ def predict(state, x_star):
     the length-n_star outputs, however many rows are asked for. Chunk
     starts sit on multiples of PREDICT_CHUNK_ALIGN rows, so BLAS groups
     every row as in one whole-block pass; with OpenBLAS the mean is
-    bitwise equal to that pass.
+    bitwise equal to that pass. One (cos, sin) pair, which the banks take
+    in turn, and one feature block, which dtrmm overwrites after the
+    mean is taken, serve every chunk.
     """
     x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
     if x_star.shape[1] != state.bank.dim:
@@ -261,10 +251,15 @@ def predict(state, x_star):
     mean = np.empty(n)
     var = np.empty(n)
     rows = _chunk_rows(state.bank.m)
+    buffers = FeatureBuffers(min(rows, n), state.bank.m, 1)
     rinv = linalg.inverse_lower(state.r)
     for lo in range(0, n, rows):
-        mean[lo:lo + rows], var[lo:lo + rows] = _chunk_moments(
-            state, rinv, x_star[lo:lo + rows])
+        chunk = slice(lo, lo + rows)
+        phi = features_for_mode(x_star[chunk], state.bank, state.mode, buffers).phi
+        np.matmul(phi, state.alpha2, out=mean[chunk])
+        v = dtrmm(1.0, rinv, phi.T, lower=1, overwrite_b=1)
+        np.square(v, out=v)
+        np.sum(v, axis=0, out=var[chunk])
     var += 1.0
     var *= state.hyper.sigma_n2
     return mean, var

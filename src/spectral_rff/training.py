@@ -35,6 +35,12 @@ because the benchmark's tracer measures it by the name
 training.solve_triangular; dropping that name is a change to the
 benchmark first.
 
+train owns one StepWorkspace for all its steps, so no step allocates a
+large array or faults freed pages back in: lml_gradient writes into it
+the trig pairs, phi, C, its factor, the identity that becomes C^-1 and
+the outer product that becomes phibar. Nothing returned aliases it, and
+train drops it before fit_state, so the fit's peak memory does not grow.
+
 Gaussian dropout multiplies each frequency entry by an independent
 N(1, sigma_p^2) draw, fresh at every step; the noisy bank is used for
 the forward value and the gradient, the clean bank receives the update,
@@ -54,8 +60,9 @@ from scipy.linalg.lapack import dlauum
 from . import linalg, model
 from .data import Dataset
 from .errors import DegenerateSplit, FactorizationFailed, NonFiniteLoss
-from .features import (NONSTATIONARY, STATIONARY, features_for_mode,
-                       ridge_multiplier, sum_blocks, trig_blocks)
+from .features import (BANKS, NONSTATIONARY, STATIONARY, FeatureBuffers,
+                       features_for_mode, ridge_multiplier, sum_blocks,
+                       trig_blocks)
 from .measures import (FrequencyBank, GaussianSE, sample_nonstationary,
                        sample_stationary)
 
@@ -196,13 +203,27 @@ def log_variance_grads(ridge, sigma_n2, yy, a1_sq, a2_sq, tr_g, m, n):
             "log_sigma_n2": (yy - a1_sq) / (2.0 * sigma_n2) - fit - trace + m - 0.5 * n}
 
 
-def lml_gradient(x, y, bank, hyper, mode):
+class StepWorkspace(FeatureBuffers):
+    """lml_gradient's buffers for n rows and m frequencies, whatever the
+    mode: a pair per bank of either map, so no mode can share one."""
+
+    def __init__(self, n, m):
+        super().__init__(n, m, max(BANKS.values()))
+        k = min(n, 2 * m)
+        self.gram = np.empty((k, k))
+        self.chol = np.empty((k, k), order="F")
+        self.eye = np.empty((k, k), order="F")
+        self.outer = np.empty((n, 2 * m))
+
+
+def lml_gradient(x, y, bank, hyper, mode, work=None):
     """Reduced log marginal likelihood and its analytic gradients.
 
     Returns (lml, grads, info). ``grads`` has log_sigma_f2 and
     log_sigma_n2 entries always, plus one per key of the mode's
     ``trained`` tuple; stationary_fixed carries no frequency gradients
-    at all. ``info`` reports the jitter used.
+    at all. ``info`` reports the jitter used. ``work`` defaults to a
+    fresh StepWorkspace.
     """
     if mode not in MODES:
         raise ValueError(f"unknown training mode {mode!r}")
@@ -210,13 +231,17 @@ def lml_gradient(x, y, bank, hyper, mode):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     m = bank.m
-    blocks = list(trig_blocks(x, bank, fmode))
-    phi = sum_blocks(blocks, m, fmode)
-    core = model.reduced_core(phi, y, hyper)
+    if work is None:
+        work = StepWorkspace(x.shape[0], m)
+    blocks = list(trig_blocks(x, bank, fmode, work))
+    phi = sum_blocks(blocks, m, fmode, work)
+    core = model.reduced_core(phi, y, hyper, work)
     chol, alpha2 = core["chol"], core["alpha2"]
     k = chol.shape[0]
     # the identity is Fortran-ordered, so the solve overwrites it in place
-    rinv = solve_triangular(chol, np.eye(k, order="F"), lower=True,
+    work.eye.fill(0.0)
+    np.fill_diagonal(work.eye, 1.0)
+    rinv = solve_triangular(chol, work.eye, lower=True,
                             check_finite=False, overwrite_b=True)
     # rinv is Fortran-ordered, so dlauum overwrites it with the lower
     # triangle of C^-1; its upper triangle stays zero and dsymm never reads it
@@ -232,12 +257,15 @@ def lml_gradient(x, y, bank, hyper, mode):
         # into the outer product through its Fortran-ordered transpose:
         # (phi G)' is C^-1 phi' when C = A (side 0) and phi' C^-1 when C = B
         # (side 1); phi.T is a Fortran view too, so f2py copies neither
-        phibar = dsymm(-1.0, cinv, phi.phi.T, beta=1.0,
-                       c=np.outer(resid / hyper.sigma_n2, alpha2).T,
+        np.multiply.outer(resid / hyper.sigma_n2, alpha2, out=work.outer)
+        phibar = dsymm(-1.0, cinv, phi.phi.T, beta=1.0, c=work.outer.T,
                        side=int(k < 2 * m), lower=1, overwrite_c=1).T
         cbar, sbar = phibar[:, :m], phibar[:, m:]
+        # the chain rule's products overwrite each bank's pair, read last here
         for key, (c, s) in zip(trained, blocks):
-            grads[key] = (sbar * c - cbar * s).T @ x
+            np.multiply(sbar, c, out=c)
+            np.multiply(cbar, s, out=s)
+            grads[key] = np.subtract(c, s, out=c).T @ x
     return core["lml"], grads, {"jitter": core["jitter"]}
 
 
@@ -401,6 +429,8 @@ def train(dataset, config, spec_init=None):
     if fixed_fast:
         train_obj = _FixedBankObjective(x_tr, y_tr, bank0, config.feature_mode)
         val_obj = _FixedBankObjective(x_val, y_val, bank0, config.feature_mode)
+    else:
+        work = StepWorkspace(x_tr.shape[0], bank0.m)
 
     trace = TrainTrace()
     stopper = EarlyStopper(config.patience)
@@ -419,7 +449,8 @@ def train(dataset, config, spec_init=None):
             jitter = 0.0
         else:
             noisy = apply_gaussian_dropout(bank, config.dropout_sigma_p, rng_noise)
-            value, lml_grads, info = lml_gradient(x_tr, y_tr, noisy, hyper, config.mode)
+            value, lml_grads, info = lml_gradient(x_tr, y_tr, noisy, hyper,
+                                                  config.mode, work)
             jitter = info["jitter"]
         neg_lml = -value if math.isfinite(value) else math.inf
         # one record per step on every exit path keeps the lists aligned
@@ -459,6 +490,7 @@ def train(dataset, config, spec_init=None):
             trace.train_neg_lml.append(neg_lml)
             trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
 
+    work = None   # freed before fit_state builds its 2m x 2m system
     chosen = best_params if best_params is not None else params
     hyper_best = model.Hyperparams(float(chosen["log_sigma_f2"]),
                                    float(chosen["log_sigma_n2"]))

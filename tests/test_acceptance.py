@@ -16,7 +16,7 @@ from spectral_rff import benchmarks, cli, data, model, training
 from spectral_rff.features import (NONSTATIONARY, STATIONARY, KernelScale,
                                    features_for_mode, forbid_dense_kernel,
                                    kernel_cross, kernel_estimate,
-                                   kernel_matrix, stationary_features)
+                                   kernel_matrix)
 from spectral_rff.linalg import seeded_rng
 from spectral_rff.measures import (FrequencyBank, GaussianSE, LaplacianCauchy,
                                    MaternT, sample_nonstationary,
@@ -98,8 +98,8 @@ def test_criterion_03_monte_carlo_error_shrinks_with_bank_size():
             errs = []
             for seed in range(20):
                 bank = sample_stationary(spec, m, 1, seeded_rng(3_500_000 + seed))
-                k_hat = kernel_cross(stationary_features(anchor, bank),
-                                     stationary_features(grid, bank), scale)[0]
+                k_hat = kernel_cross(features_for_mode(anchor, bank, STATIONARY),
+                                     features_for_mode(grid, bank, STATIONARY), scale)[0]
                 errs.append(float(np.max(np.abs(k_hat - k_true))))
             medians[m] = float(np.median(errs))
         factors[label] = medians[100] / medians[400]

@@ -318,6 +318,39 @@ def test_memory_error_is_one_error_line(monkeypatch, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def small_machine(monkeypatch, pages=1024):
+    """Report a machine of ``pages`` 4 KiB pages to the size guard."""
+    real = cli.os.sysconf
+    fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: fake.get(name) or real(name))
+
+
+def test_size_guard_compares_against_physical_memory(monkeypatch):
+    small_machine(monkeypatch)
+    cli._check_memory(4096 * 1024, "a request that fits")
+    with pytest.raises(InvalidSpec, match="physical memory"):
+        cli._check_memory(4096 * 1024 + 1, "one byte more")
+
+
+def test_oversized_requests_fail_in_one_line_before_allocating(
+        monkeypatch, sine_csv, tmp_path, capsys):
+    # on a 4 MiB machine each request below is refused; without the guard
+    # none would allocate more than a few tens of MB
+    model_path = fitted_model(sine_csv, tmp_path)
+    small_machine(monkeypatch)
+    capsys.readouterr()
+    out = tmp_path / "big"
+    for argv in (["fit", "--data", sine_csv, "--m", "1024"],
+                 ["grid", "--model", str(model_path), "--grid", "0:1:200000"],
+                 ["spectrum", "--spec", "se", "--m", "300000"]):
+        assert run_cli(argv + ["--out-dir", str(out)]) == 1, argv
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "physical memory" in err[0] and captured.out == ""
+        assert not out.exists()
+
+
 def test_spectrum_outputs_and_determinism(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     args = ["spectrum", "--spec", "laplacian:2.0", "--m", "6", "--dim", "2",

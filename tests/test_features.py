@@ -8,11 +8,10 @@ import pytest
 from spectral_rff import measures
 from spectral_rff.errors import (DimensionMismatch, InvalidParams,
                                  ModeNormalizerMismatch, UnsupportedSpec)
-from spectral_rff.features import (NONSTATIONARY, STATIONARY, KernelScale,
-                                   forbid_dense_kernel, features_for_mode,
+from spectral_rff.features import (NONSTATIONARY, STATIONARY, FeatureBuffers,
+                                   KernelScale, forbid_dense_kernel, features_for_mode,
                                    kernel_cross, kernel_estimate,
-                                   kernel_matrix, nonstationary_features,
-                                   ridge_multiplier, stationary_features,
+                                   kernel_matrix, ridge_multiplier,
                                    trig_blocks)
 from spectral_rff.linalg import seeded_rng
 from spectral_rff.measures import (FrequencyBank, GaussianSE, LaplacianCauchy,
@@ -31,8 +30,8 @@ def make_banks(m=40, d=2, seed=0):
 def test_feature_shapes_and_mode_tags(rng):
     st, ns = make_banks()
     x = rng.standard_normal((7, 2))
-    fs = stationary_features(x, st)
-    fn = nonstationary_features(x, ns)
+    fs = features_for_mode(x, st, STATIONARY)
+    fn = features_for_mode(x, ns, NONSTATIONARY)
     assert fs.phi.shape == (7, 80) and fs.mode == STATIONARY
     assert fn.phi.shape == (7, 80) and fn.mode == NONSTATIONARY
     assert features_for_mode(x, st, STATIONARY).mode == STATIONARY
@@ -45,14 +44,14 @@ def test_stationary_rows_have_constant_energy(rng):
     # induced kernel equals sigma_f^2
     st, _ = make_banks(m=13)
     x = rng.standard_normal((9, 2))
-    k = kernel_estimate(stationary_features(x, st), KernelScale(2.5, STATIONARY))
+    k = kernel_estimate(features_for_mode(x, st, STATIONARY), KernelScale(2.5, STATIONARY))
     np.testing.assert_allclose(np.diag(k), 2.5, rtol=1e-12)
 
 
 def test_nonstationary_diagonal_bounded_and_exact_at_origin():
     _, ns = make_banks(m=17)
     x = np.vstack([np.zeros((1, 2)), seeded_rng(3).standard_normal((6, 2))])
-    k = kernel_estimate(nonstationary_features(x, ns),
+    k = kernel_estimate(features_for_mode(x, ns, NONSTATIONARY),
                         KernelScale(1.7, NONSTATIONARY))
     assert k[0, 0] == pytest.approx(1.7, rel=1e-12)
     assert np.all(np.diag(k) <= 1.7 + 1e-12)
@@ -62,9 +61,9 @@ def test_tied_banks_reduce_to_stationary_kernel(rng):
     st, _ = make_banks(m=25, seed=4)
     tied = FrequencyBank(st.omega1, st.omega1.copy(), stationary=False)
     x = rng.standard_normal((12, 2))
-    k_st = kernel_estimate(stationary_features(x, st),
+    k_st = kernel_estimate(features_for_mode(x, st, STATIONARY),
                            KernelScale(1.3, STATIONARY))
-    k_ns = kernel_estimate(nonstationary_features(x, tied),
+    k_ns = kernel_estimate(features_for_mode(x, tied, NONSTATIONARY),
                            KernelScale(1.3, NONSTATIONARY))
     assert float(np.max(np.abs(k_st - k_ns))) <= 1e-12
 
@@ -74,8 +73,8 @@ def test_stationary_kernel_is_translation_invariant():
     xa = np.array([[0.0], [0.5], [-1.2]])
     xb = xa + 1.7
     scale = KernelScale(1.0, STATIONARY)
-    ka = kernel_estimate(stationary_features(xa, bank), scale)
-    kb = kernel_estimate(stationary_features(xb, bank), scale)
+    ka = kernel_estimate(features_for_mode(xa, bank, STATIONARY), scale)
+    kb = kernel_estimate(features_for_mode(xb, bank, STATIONARY), scale)
     assert float(np.max(np.abs(ka - kb))) < 1e-12
 
 
@@ -85,8 +84,8 @@ def test_untied_banks_break_translation_invariance():
     xa = np.array([[0.0], [0.5]])
     xb = xa + 1.7
     scale = KernelScale(1.0, NONSTATIONARY)
-    ka = kernel_estimate(nonstationary_features(xa, bank), scale)
-    kb = kernel_estimate(nonstationary_features(xb, bank), scale)
+    ka = kernel_estimate(features_for_mode(xa, bank, NONSTATIONARY), scale)
+    kb = kernel_estimate(features_for_mode(xb, bank, NONSTATIONARY), scale)
     assert float(np.max(np.abs(ka - kb))) > 0.1
 
 
@@ -98,7 +97,7 @@ def test_untied_banks_break_translation_invariance():
 def test_monte_carlo_kernel_converges_to_closed_form(spec, bound):
     x = np.linspace(-2.0, 2.0, 25).reshape(-1, 1)
     bank = sample_stationary(spec, 4000, 1, seeded_rng(17))
-    k_hat = kernel_estimate(stationary_features(x, bank),
+    k_hat = kernel_estimate(features_for_mode(x, bank, STATIONARY),
                             KernelScale(1.0, STATIONARY))
     assert float(np.max(np.abs(k_hat - kernel_matrix(spec, x, x)))) < bound
 
@@ -156,8 +155,8 @@ def test_kernel_scale_validation():
 def test_mode_normalizer_mismatch_is_refused(rng):
     st, ns = make_banks()
     x = rng.standard_normal((4, 2))
-    fs = stationary_features(x, st)
-    fn = nonstationary_features(x, ns)
+    fs = features_for_mode(x, st, STATIONARY)
+    fn = features_for_mode(x, ns, NONSTATIONARY)
     with pytest.raises(ModeNormalizerMismatch):
         kernel_estimate(fs, KernelScale(1.0, NONSTATIONARY))
     with pytest.raises(ModeNormalizerMismatch):
@@ -169,7 +168,7 @@ def test_mode_normalizer_mismatch_is_refused(rng):
 def test_input_dimension_checked_against_bank(rng):
     st, _ = make_banks(d=2)
     with pytest.raises(DimensionMismatch):
-        stationary_features(rng.standard_normal((3, 5)), st)
+        features_for_mode(rng.standard_normal((3, 5)), st, STATIONARY)
     with pytest.raises(DimensionMismatch):
         kernel_matrix(GaussianSE([1.0]), np.zeros((2, 1)), np.zeros((2, 2)))
 
@@ -177,13 +176,13 @@ def test_input_dimension_checked_against_bank(rng):
 def test_stationary_map_refuses_untied_bank():
     _, ns = make_banks()
     with pytest.raises(ValueError):
-        stationary_features(np.zeros((2, 2)), ns)
+        features_for_mode(np.zeros((2, 2)), ns, STATIONARY)
 
 
 def test_dense_kernel_guard_blocks_square_builds(rng):
     st, _ = make_banks()
     x = rng.standard_normal((4, 2))
-    fs = stationary_features(x, st)
+    fs = features_for_mode(x, st, STATIONARY)
     scale = KernelScale(1.0, STATIONARY)
     with forbid_dense_kernel():
         with pytest.raises(RuntimeError):
@@ -204,6 +203,18 @@ def test_feature_map_is_the_sum_of_its_trig_blocks(rng):
         np.testing.assert_array_equal(phi[:, 6:], sum(s for _, s in blocks))
     with pytest.raises(DimensionMismatch):
         list(trig_blocks(np.zeros((2, 3)), ns, NONSTATIONARY))
+
+
+def test_feature_buffers_give_the_fresh_map_bit_for_bit(rng):
+    st, ns = make_banks(m=6)
+    for bank, mode in ((st, STATIONARY), (ns, NONSTATIONARY)):
+        for pairs in (1, 2):   # banks take turns in one pair, or one each
+            buffers = FeatureBuffers(9, 6, pairs)
+            for n in (9, 4, 9):   # the whole buffer, then leading rows
+                x = rng.standard_normal((n, 2))
+                phi = features_for_mode(x, bank, mode, buffers).phi
+                assert np.shares_memory(phi, buffers.phi)
+                np.testing.assert_array_equal(phi, features_for_mode(x, bank, mode).phi)
 
 
 def test_nonstationary_map_peak_memory_is_two_feature_blocks():

@@ -89,6 +89,24 @@ def test_cholesky_climbs_the_jitter_ladder_one_dpotrf_per_rung(monkeypatch):
     np.testing.assert_allclose(r @ r.T, a + jitter * np.eye(2), atol=1e-15)
 
 
+def test_cholesky_and_gram_write_into_given_buffers(rng):
+    # f2py copies a buffer of the wrong order without a word, so the factor
+    # must come back in the buffer itself, on every rung of the ladder
+    b = rng.standard_normal((30, 12))
+    gram = np.empty((12, 12))
+    assert np.shares_memory(linalg.gram(b, gram), gram)
+    np.testing.assert_array_equal(gram, linalg.gram(b))
+    gram += np.eye(12)
+    for a in (gram, np.diag([1.0, -3e-9])):   # no jitter, then three rungs
+        kept = a.copy()
+        out = np.empty(a.shape, order="F")
+        r, jitter = linalg.cholesky(a, out=out)
+        ref, ref_jitter = linalg.cholesky(a)
+        assert np.shares_memory(r, out) and jitter == ref_jitter
+        np.testing.assert_array_equal(r, ref)
+        np.testing.assert_array_equal(a, kept)
+
+
 def test_cholesky_raises_when_dpotrf_rejects_an_argument(monkeypatch):
     monkeypatch.setattr(linalg, "dpotrf", lambda a, **kwargs: (a, -4))
     with pytest.raises(FactorizationFailed, match="argument 4"):

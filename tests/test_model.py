@@ -1,12 +1,14 @@
 """Reduced-system inference checked against the dense O(n^3) oracle."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
 
-from spectral_rff import model
+from spectral_rff import linalg, model
 from spectral_rff.data import StandardizationStats
 from spectral_rff.errors import (DimensionMismatch, InvalidParams,
                                  SchemaMismatch)
@@ -171,6 +173,27 @@ def test_reduced_core_matches_the_dense_oracle_where_the_orientation_turns(mode)
         assert rel_err(phi.phi @ core["alpha2"], mean_o) < 1e-10
 
 
+@pytest.mark.parametrize("mode", [STATIONARY, NONSTATIONARY])
+def test_reduced_core_factors_into_its_buffers_bit_for_bit(mode):
+    rng = seeded_rng(131)
+    for n, m in ((40, 9), (12, 20)):   # n >= 2m and n < 2m
+        omega = [rng.standard_normal((m, 2)) for _ in range(2)]
+        bank = (FrequencyBank(omega[0], stationary=True) if mode == STATIONARY
+                else FrequencyBank(*omega, stationary=False))
+        phi = features_for_mode(rng.standard_normal((n, 2)), bank, mode)
+        y = rng.standard_normal(n)
+        hyper = Hyperparams.from_variances(1.5, 0.2)
+        k = min(n, 2 * m)
+        buffers = SimpleNamespace(gram=np.empty((k, k)), chol=np.empty((k, k), order="F"))
+        core = reduced_core(phi, y, hyper, buffers)
+        ref = reduced_core(phi, y, hyper)
+        assert np.shares_memory(core["chol"], buffers.chol)
+        np.testing.assert_array_equal(core["chol"], ref["chol"])
+        np.testing.assert_array_equal(core["alpha2"], ref["alpha2"])
+        for key in ("ridge", "jitter", "lml", "yy", "a1_sq", "a2_sq"):
+            assert core[key] == ref[key], key
+
+
 def test_reduced_core_jitter_scales_by_the_n_by_n_diagonal():
     # six identical rows and eight pairs: B = phi phi' + r I is the
     # rank-one 8 J to working precision, so dpotrf needs a jitter rung,
@@ -269,6 +292,15 @@ def test_chunked_predict_matches_one_whole_block_pass(mode):
     np.testing.assert_allclose(mean, mean_ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(mean_ref)))
     np.testing.assert_allclose(var, var_ref, rtol=1e-12, atol=0.0)
+    # bit for bit: the mean equals the whole-block pass, and the variance
+    # the same kernels run chunk by chunk on fresh arrays (dtrmm on the
+    # whole block rounds a row differently), so the reused chunk buffers
+    # and the last chunk's leading-row views change no bit
+    np.testing.assert_array_equal(mean, mean_ref)
+    rinv = linalg.inverse_lower(state.r)
+    sq = [np.sum(w * w, axis=0) for w in
+          (dtrmm(1.0, rinv, phi[lo:lo + rows].T, lower=1) for lo in range(0, n_star, rows))]
+    np.testing.assert_array_equal(var, state.hyper.sigma_n2 * (1.0 + np.concatenate(sq)))
 
 
 def test_predict_peak_memory_is_a_chunk_not_the_whole_feature_block():

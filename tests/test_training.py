@@ -175,6 +175,60 @@ def test_gradient_core_matches_the_two_solve_reference(mode, regime):
             np.testing.assert_allclose(grads[key], ref, rtol=1e-10, atol=0.0)
 
 
+# --- the step workspace -----------------------------------------------------
+
+def workspace_arrays(work):
+    return [*work.pairs, work.phi, work.gram, work.chol, work.eye, work.outer]
+
+
+def workspace_instance(mode, n, m, seed=83, d=2):
+    rng = seeded_rng(seed)
+    omega = [3.0 * rng.standard_normal((m, d)) for _ in range(2)]
+    bank = (FrequencyBank(*omega, stationary=False) if mode == NONSTATIONARY_LEARNED
+            else FrequencyBank(omega[0], stationary=True))
+    x = rng.uniform(-1.0, 1.0, (n, d))
+    y = np.sin(3.0 * x[:, 0]) + 0.1 * rng.standard_normal(n)
+    return x, y, bank, Hyperparams.from_variances(1.3, 0.05), rng
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("n,m", [(60, 12), (20, 15)])   # n >= 2m and n < 2m
+def test_a_reused_workspace_gives_the_fresh_step_bit_for_bit(mode, n, m):
+    x, y, bank, hyper, rng = workspace_instance(mode, n, m)
+    work = training.StepWorkspace(n, m)
+    for _ in range(5):
+        noisy = apply_gaussian_dropout(bank, 0.05, rng)
+        value, grads, info = lml_gradient(x, y, noisy, hyper, mode, work)
+        ref_value, ref_grads, ref_info = lml_gradient(x, y, noisy, hyper, mode)
+        assert value == ref_value and info == ref_info
+        assert set(grads) == set(ref_grads) == {"log_sigma_f2", "log_sigma_n2",
+                                                *MODES[mode].trained}
+        for key, grad in grads.items():
+            np.testing.assert_array_equal(grad, ref_grads[key])
+            assert not any(np.shares_memory(grad, a) for a in workspace_arrays(work))
+
+
+@pytest.mark.parametrize("n,m", [(60, 12), (20, 15)])
+def test_the_step_overwrites_its_identity_and_outer_product_in_place(n, m):
+    # f2py copies an array of the wrong order without a word: a solve,
+    # dlauum or dsymm that stopped writing in place would leave the
+    # workspace holding the identity and the plain outer product
+    mode = NONSTATIONARY_LEARNED
+    x, y, bank, hyper, _ = workspace_instance(mode, n, m)
+    work = training.StepWorkspace(n, m)
+    _, grads, _ = lml_gradient(x, y, bank, hyper, mode, work)
+    chol = work.chol
+    np.testing.assert_allclose(np.tril(work.eye), np.tril(np.linalg.inv(chol @ chol.T)),
+                               rtol=1e-8, atol=1e-8 * np.max(np.abs(work.eye)))
+    assert not np.any(np.triu(work.eye, 1))
+    # the outer-product buffer holds phibar: the chain rule gives the
+    # returned gradients from it bit for bit
+    cbar, sbar = work.outer[:, :m], work.outer[:, m:]
+    blocks = features.trig_blocks(x, bank, features.NONSTATIONARY)
+    for key, (c, s) in zip(MODES[mode].trained, blocks):
+        np.testing.assert_array_equal((sbar * c - cbar * s).T @ x, grads[key])
+
+
 def test_fixed_mode_reports_no_frequency_gradients():
     rng = seeded_rng(78)
     x, y, bank, hyper = random_instance(rng, features.STATIONARY)
