@@ -70,7 +70,8 @@ def gen_chirp(spec):
     t = np.linspace(0.0, 1.0, spec.n)
     y = np.sin(2.0 * np.pi * (spec.chirp_rate * t + spec.chirp_accel * t * t))
     if spec.noise > 0:
-        y = y + spec.noise * rng.standard_normal(spec.n)
+        with np.errstate(over="ignore"):   # Dataset refuses what overflows
+            y = y + spec.noise * rng.standard_normal(spec.n)
     return Dataset(t.reshape(-1, 1), y, ("t",), "y")
 
 
@@ -110,7 +111,8 @@ def gen_step_lengthscale(spec):
     root, _ = cholesky(step_field_covariance(x, ell))
     y = root @ rng.standard_normal(spec.n)
     if spec.noise > 0:
-        y = y + spec.noise * rng.standard_normal(spec.n)
+        with np.errstate(over="ignore"):   # Dataset refuses what overflows
+            y = y + spec.noise * rng.standard_normal(spec.n)
     return Dataset(x, y, ("x1", "x2"), "y")
 
 

@@ -26,7 +26,9 @@ EXIT_NUMERICAL = 2
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-_BENCHMARKS = ("chirp", "step-lengthscale", "stock-csv")
+# benchmark defaults: (rows, --m, --max-steps); stock-csv rows come from --data
+_BENCHMARK_DEFAULTS = {"chirp": (600, 600, 450), "step-lengthscale": (700, 100, 300),
+                       "stock-csv": (None, 600, 450)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,6 +57,12 @@ def _check_memory(nbytes, what):
     if nbytes > total:
         raise InvalidSpec(f"{what} needs about {nbytes / 2 ** 30:.3g} GiB, more than "
                           f"the {total / 2 ** 30:.3g} GiB of physical memory")
+
+
+def _check_fit_memory(n, m, what):
+    """Size guard for training m frequencies on n rows: four n x 2m step
+    buffers, then fit_state's 2m x 2m system and factor."""
+    _check_memory(16 * m * (4 * n + 4 * m), what)
 
 
 def apply_thread_cap(environ=os.environ):
@@ -176,8 +184,7 @@ def cmd_fit(args):
                          patience=args.patience, eval_every=args.eval_every,
                          validation_fraction=args.val_frac,
                          dropout_sigma_p=args.sigma_p, seed=args.seed)
-    # four n x 2m step buffers, then fit_state's 2m x 2m system and factor
-    _check_memory(16 * args.m * (4 * dataset.n + 4 * args.m), f"fit with --m {args.m}")
+    _check_fit_memory(dataset.n, args.m, f"fit with --m {args.m}")
     spec_init = _resolve_spec(args.spec, dataset.dim)
     _log(f"fit: {dataset.n} rows, dim {dataset.dim}, mode {args.mode}, m {args.m}")
     state, trace, mse, corr, _ = fit_and_score(dataset, config, args.split, spec_init)
@@ -354,27 +361,27 @@ def cmd_spectrum(args):
 def cmd_benchmark(args):
     from . import benchmarks
 
-    if args.name == "chirp":
-        spec = benchmarks.SyntheticSpec("chirp", n=args.n or 600,
-                                        noise=args.noise, seed=args.seed)
-        bench = benchmarks.gen_chirp(spec)
-        configs = benchmarks.chirp_arm_configs(args.m or 600,
-                                               max_steps=args.max_steps or 450,
-                                               sigma_p=args.sigma_p)
-    elif args.name == "step-lengthscale":
-        spec = benchmarks.SyntheticSpec("step-lengthscale", n=args.n or 700,
-                                        noise=args.noise, seed=args.seed)
-        bench = benchmarks.gen_step_lengthscale(spec)
-        configs = benchmarks.step_field_arm_configs(args.m or 100,
-                                                    max_steps=args.max_steps or 300,
-                                                    sigma_p=args.sigma_p)
-    else:
+    # a flag given as 0 reaches the checks; only an omitted one takes the default
+    n, m, max_steps = _BENCHMARK_DEFAULTS[args.name]
+    m = m if args.m is None else args.m
+    max_steps = max_steps if args.max_steps is None else args.max_steps
+    arm_configs = (benchmarks.step_field_arm_configs if args.name == "step-lengthscale"
+                   else benchmarks.chirp_arm_configs)
+    configs = arm_configs(m, max_steps=max_steps, sigma_p=args.sigma_p)
+    if args.name == "stock-csv":
         if args.data is None:
             raise InvalidSpec("benchmark stock-csv needs --data with a local CSV")
         bench = _load_dataset(args)
-        configs = benchmarks.chirp_arm_configs(args.m or 600,
-                                               max_steps=args.max_steps or 450,
-                                               sigma_p=args.sigma_p)
+        n = bench.n
+    else:
+        spec = benchmarks.SyntheticSpec(args.name, n=n if args.n is None else args.n,
+                                        noise=args.noise, seed=args.seed)
+        n = spec.n
+    _check_fit_memory(n, max(cfg.m for cfg in configs.values()), f"benchmark with --m {m}")
+    if args.name == "chirp":
+        bench = benchmarks.gen_chirp(spec)
+    elif args.name == "step-lengthscale":
+        bench = benchmarks.gen_step_lengthscale(spec)
     _log(f"benchmark {args.name}: {bench.n} rows, {args.runs} runs")
     report = benchmarks.compare(bench, args.runs, configs,
                                 train_fraction=args.split)
@@ -474,7 +481,7 @@ def build_parser():
 
     p = sub.add_parser("benchmark",
                        help="stationary vs nonstationary comparison report")
-    p.add_argument("name", choices=_BENCHMARKS)
+    p.add_argument("name", choices=tuple(_BENCHMARK_DEFAULTS))
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--n", type=int, default=None,
                    help="synthetic dataset size (generator default if omitted)")

@@ -306,6 +306,29 @@ def test_benchmark_refuses_a_non_finite_noise(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--m", "--n", "--max-steps"])
+def test_benchmark_refuses_a_zero_size(flag, tmp_path, capsys):
+    # a 0 used to fall back to the default: --m 0 trained 600 frequencies
+    argv = {"--m": "4", "--n": "60", "--max-steps": "1", flag: "0"}
+    out = tmp_path / "out"
+    assert run_cli(["benchmark", "chirp", "--runs", "1", *sum(argv.items(), ()),
+                    "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["chirp", "step-lengthscale"])
+def test_benchmark_overflowing_noise_is_one_error_line(name, tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy warning would escape main
+        assert run_cli(["benchmark", name, "--runs", "1", "--n", "60", "--m", "4",
+                        "--max-steps", "1", "--noise", "1e308",
+                        "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, "finite")
+    assert not out.exists()
+
+
 def test_memory_error_is_one_error_line(monkeypatch, capsys):
     def out_of_memory(args):
         raise MemoryError()
@@ -348,6 +371,24 @@ def test_oversized_requests_fail_in_one_line_before_allocating(
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert "physical memory" in err[0] and captured.out == ""
+        assert not out.exists()
+
+
+def test_oversized_benchmark_fails_before_generating_data(monkeypatch, tmp_path, capsys):
+    from spectral_rff import benchmarks
+
+    def generated(spec):
+        raise AssertionError("data generated before the size guard")
+
+    monkeypatch.setattr(benchmarks, "gen_chirp", generated)
+    monkeypatch.setattr(benchmarks, "gen_step_lengthscale", generated)
+    small_machine(monkeypatch, pages=256)
+    out = tmp_path / "big"
+    # the stationary arm holds all --m frequencies, the learned arm half
+    for name in ("chirp", "step-lengthscale"):
+        assert run_cli(["benchmark", name, "--runs", "1", "--n", "60", "--m", "400",
+                        "--max-steps", "1", "--out-dir", str(out)]) == 1
+        assert_one_error_line(capsys, "physical memory", "--m 400")
         assert not out.exists()
 
 

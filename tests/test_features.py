@@ -1,6 +1,7 @@
 """Feature-map geometry: normalizers, reductions, invariances, PSD."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,51 @@ def test_feature_buffers_give_the_fresh_map_bit_for_bit(rng):
                 phi = features_for_mode(x, bank, mode, buffers).phi
                 assert np.shares_memory(phi, buffers.phi)
                 np.testing.assert_array_equal(phi, features_for_mode(x, bank, mode).phi)
+
+
+def one_dim_banks(rng, m=13):
+    """Stationary and nonstationary banks on 1-d inputs: theta = x w is one
+    exact product, so a block and its single rows get the same theta."""
+    st = FrequencyBank(rng.standard_normal((m, 1)), stationary=True)
+    ns = FrequencyBank(rng.standard_normal((m, 1)), rng.standard_normal((m, 1)),
+                       stationary=False)
+    return (st, STATIONARY), (ns, NONSTATIONARY)
+
+
+@pytest.mark.parametrize("size", [1e-3, 1.0, 30.0, 300.0, 1e4, 1e8, 1e15])
+def test_trig_blocks_agree_with_cos_and_sin(size, rng):
+    # |theta| spreads over [0, size]; the half-angle map is within ~3.5e-16
+    x = size * rng.uniform(-1.0, 1.0, (37, 1))
+    for bank, mode in one_dim_banks(rng):
+        for (c, s), omega in zip(trig_blocks(x, bank, mode), (bank.omega1, bank.omega2)):
+            theta = x @ omega.T
+            np.testing.assert_allclose(c, np.cos(theta), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(s, np.sin(theta), rtol=0, atol=1e-15)
+
+
+def test_trig_blocks_rows_one_at_a_time_equal_the_block(rng):
+    # a row of 13 values mapped alone ends in a SIMD loop tail; in the
+    # 37 x 13 block the same values sit at other lanes
+    x = 30.0 * rng.uniform(-1.0, 1.0, (37, 1))
+    x[5] = 0.0
+    for bank, mode in one_dim_banks(rng):
+        whole = [np.array(pair) for pair in trig_blocks(x, bank, mode)]
+        for i in range(x.shape[0]):
+            for pair, row in zip(whole, trig_blocks(x[i], bank, mode)):
+                np.testing.assert_array_equal(pair[:, i:i + 1], np.array(row))
+        for c, s in whole:   # theta = 0 gives exactly (1, 0)
+            assert np.all(c[5] == 1.0) and np.all(s[5] == 0.0)
+
+
+def test_trig_blocks_raise_no_warning_on_finite_theta(rng):
+    x = np.concatenate([rng.uniform(-1.0, 1.0, (20, 1)) * 10.0 ** k
+                        for k in (-300, -3, 0, 3, 15, 300)])
+    x[0] = 0.0
+    for bank, mode in one_dim_banks(rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c, s in trig_blocks(x, bank, mode):
+                assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
 
 
 def test_nonstationary_map_peak_memory_is_two_feature_blocks():
