@@ -16,7 +16,6 @@ import numpy as np
 from .data import (Dataset, destandardize_predictions, split, standardize,
                    standardize_inputs)
 from .errors import ConstantVector, DimensionMismatch, InvalidSpec
-from .features import BANKS
 from .linalg import cholesky, seeded_rng
 from .model import predict
 from .training import (MODES, NONSTATIONARY_LEARNED, STATIONARY_FIXED,
@@ -177,7 +176,7 @@ def _budget_note(configs, d):
     rows = {}
     for arm, cfg in configs.items():
         mode = MODES[cfg.mode]
-        rows[arm] = cfg.m * BANKS[mode.features]
+        rows[arm] = cfg.m * (len(mode.trained) or 1)
         parts.append(f"{arm}: mode={cfg.mode} m={cfg.m} "
                      f"frequency_rows={rows[arm]} "
                      f"trainable_entries={cfg.m * d * len(mode.trained)}")

@@ -55,7 +55,8 @@ def _check_memory(nbytes, what):
     """Refuse ``nbytes`` beyond physical memory, before anything is allocated."""
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > total:
-        raise InvalidSpec(f"{what} needs about {nbytes / 2 ** 30:.3g} GiB, more than "
+        gib = nbytes / 2 ** 30 if nbytes < 2 ** 1000 else math.inf   # no float overflow
+        raise InvalidSpec(f"{what} needs about {gib:.3g} GiB, more than "
                           f"the {total / 2 ** 30:.3g} GiB of physical memory")
 
 
@@ -175,9 +176,11 @@ def _metrics_line(mse, corr):
 def cmd_fit(args):
     from . import model
     from .benchmarks import fit_and_score
+    from .data import split_rows
     from .training import MODES, TrainConfig
 
     dataset = _load_dataset(args)
+    split_rows(dataset.n, args.split)
     mode = next(name for name, m in MODES.items() if m.token == args.mode)
     config = TrainConfig(mode=mode, m=args.m,
                          learning_rate=args.lr, max_steps=args.max_steps,
@@ -303,7 +306,7 @@ def cmd_kernel_dump(args):
 
     from . import data, model
     from .data import GridSpec
-    from .features import KernelScale, features_for_mode, kernel_cross
+    from .features import features_for_mode, kernel_cross
 
     state = model.load_model(args.model)
     anchors = _parse_anchors(args.anchors)
@@ -315,7 +318,9 @@ def cmd_kernel_dump(args):
         raise InvalidSpec("count must be at least 2")
     if not 0 < args.window < math.inf:
         raise InvalidSpec("window must be positive and finite")
-    scale = KernelScale(state.hyper.sigma_f2, state.mode)
+    # per anchor: grid, meshes, standardized copy, features and one (cos, sin) pair
+    _check_memory(8 * args.count ** d * (4 * d + 4 * state.bank.m),
+                  f"kernel-dump with --count {args.count}")
     _outdir(args)
     for idx, anchor in enumerate(anchors):
         a = np.asarray(anchor, dtype=float)
@@ -324,10 +329,10 @@ def cmd_kernel_dump(args):
         pts = np.vstack([a.reshape(1, -1), grid])
         if state.standardization is not None:
             pts = _standardized(pts, state.standardization)
-        phi = features_for_mode(pts, state.bank, state.mode)
-        phi_a = type(phi)(phi.phi[:1], phi.m, phi.mode)
-        phi_g = type(phi)(phi.phi[1:], phi.m, phi.mode)
-        field = kernel_cross(phi_a, phi_g, scale)[0]
+        phi = features_for_mode(pts, state.bank)
+        phi_a = type(phi)(phi.phi[:1], phi.m, phi.banks)
+        phi_g = type(phi)(phi.phi[1:], phi.m, phi.banks)
+        field = kernel_cross(phi_a, phi_g, state.hyper.sigma_f2)[0]
         mat = field.reshape(spec.counts) if d > 1 else field.reshape(1, -1)
         data.write_matrix_csv(_out(args, f"kernel_anchor{idx}.csv"), mat)
         data.write_pgm(_out(args, f"kernel_anchor{idx}.pgm"), mat)
@@ -360,7 +365,10 @@ def cmd_spectrum(args):
 
 def cmd_benchmark(args):
     from . import benchmarks
+    from .data import split_rows
 
+    if args.runs < 1:
+        raise InvalidSpec("runs must be >= 1")
     # a flag given as 0 reaches the checks; only an omitted one takes the default
     n, m, max_steps = _BENCHMARK_DEFAULTS[args.name]
     m = m if args.m is None else args.m
@@ -368,15 +376,20 @@ def cmd_benchmark(args):
     arm_configs = (benchmarks.step_field_arm_configs if args.name == "step-lengthscale"
                    else benchmarks.chirp_arm_configs)
     configs = arm_configs(m, max_steps=max_steps, sigma_p=args.sigma_p)
+    generator = {"n": n if args.n is None else args.n, "noise": args.noise, "seed": args.seed}
     if args.name == "stock-csv":
         if args.data is None:
             raise InvalidSpec("benchmark stock-csv needs --data with a local CSV")
+        flag = next((f"--{k}" for k, v in generator.items() if v is not None), None)
+        if flag is not None:
+            raise InvalidSpec(f"benchmark stock-csv takes its rows from --data, not {flag}")
         bench = _load_dataset(args)
         n = bench.n
     else:
-        spec = benchmarks.SyntheticSpec(args.name, n=n if args.n is None else args.n,
-                                        noise=args.noise, seed=args.seed)
+        spec = benchmarks.SyntheticSpec(
+            args.name, **{k: v for k, v in generator.items() if v is not None})
         n = spec.n
+    split_rows(n, args.split)
     _check_fit_memory(n, max(cfg.m for cfg in configs.values()), f"benchmark with --m {m}")
     if args.name == "chirp":
         bench = benchmarks.gen_chirp(spec)
@@ -485,13 +498,15 @@ def build_parser():
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--n", type=int, default=None,
                    help="synthetic dataset size (generator default if omitted)")
-    p.add_argument("--noise", type=_finite_float, default=0.05)
+    p.add_argument("--noise", type=_finite_float, default=None,
+                   help="synthetic noise level (generator default 0.05 if omitted)")
     p.add_argument("--m", type=int, default=None,
                    help="stationary bank size; the learned arm gets m/2 pairs")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--sigma-p", type=_finite_float, default=0.05)
     p.add_argument("--split", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="synthetic data seed (0 if omitted)")
     _add_data_flags(p, required=False)
     _add_out_dir(p)
     p.set_defaults(func=cmd_benchmark)

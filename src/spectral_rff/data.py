@@ -212,17 +212,21 @@ def destandardize_predictions(mean, variance, stats):
             np.asarray(variance) * stats.output_std ** 2)
 
 
-def split(dataset, train_fraction, seed):
-    """Seeded uniform partition into (train, test) datasets."""
+def split_rows(n, train_fraction):
+    """Training rows of a split of n rows, refusing a fraction outside (0, 1)
+    or one that leaves either side fewer than the 2 rows of a dataset."""
     if not 0.0 < train_fraction < 1.0:
         raise DegenerateSplit(f"train fraction {train_fraction} not in (0, 1)")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(dataset.n)
-    n_train = int(round(train_fraction * dataset.n))
-    # both sides must be datasets in their own right (>= 2 rows)
-    if n_train < 2 or dataset.n - n_train < 2:
-        raise DegenerateSplit(
-            f"fraction {train_fraction} leaves a degenerate side for n={dataset.n}")
+    n_train = int(round(train_fraction * n))
+    if n_train < 2 or n - n_train < 2:
+        raise DegenerateSplit(f"fraction {train_fraction} leaves a degenerate side for n={n}")
+    return n_train
+
+
+def split(dataset, train_fraction, seed):
+    """Seeded uniform partition into (train, test) datasets."""
+    n_train = split_rows(dataset.n, train_fraction)
+    perm = np.random.default_rng(seed).permutation(dataset.n)
     tr, te = perm[:n_train], perm[n_train:]
     make = lambda rows: Dataset(dataset.x[rows], dataset.y[rows],
                                 list(dataset.input_columns), dataset.output_column,

@@ -51,10 +51,6 @@ class UnsupportedSpec(SpectralRffError):
 
 # feature maps
 
-class ModeNormalizerMismatch(SpectralRffError):
-    pass
-
-
 class InvalidParams(SpectralRffError):
     pass
 

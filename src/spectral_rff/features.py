@@ -11,8 +11,10 @@ nonstationary map sums two banks,
 
 and normalizes by 1/(4m); with W1 == W2 the cosine sum doubles every
 entry and the extra factor of 4 cancels, recovering the stationary
-kernel exactly. Closed-form kernels for the named spectral families are
-provided as oracles for convergence and duality checks.
+kernel exactly. The bank picks the map: FrequencyBank.banks is 1 for a
+stationary bank and 2 otherwise. Closed-form kernels for the named
+spectral families are provided as oracles for convergence and duality
+checks.
 
 Each (cos, sin) pair comes from one tangent of the half angle: with
 t = tan(theta/2) and w = 2/(1 + t^2), cos theta = w - 1 and
@@ -29,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InvalidParams, ModeNormalizerMismatch,
-                     UnsupportedSpec)
+from .errors import DimensionMismatch, InvalidParams, UnsupportedSpec
 from .measures import GaussianSE, LaplacianCauchy, MaternT
-
-STATIONARY = "stationary"
-NONSTATIONARY = "nonstationary"
-# frequency banks each feature map sums
-BANKS = {STATIONARY: 1, NONSTATIONARY: 2}
 
 _dense_kernels_allowed = True
 
@@ -61,13 +57,7 @@ def dense_kernel_gate():
 class FeatureMatrix:
     phi: np.ndarray  # (n, 2m)
     m: int
-    mode: str
-
-
-def _banks(mode):
-    if mode not in BANKS:
-        raise ValueError(f"unknown feature mode {mode!r}")
-    return BANKS[mode]
+    banks: int       # frequency banks the map summed: 1 or 2
 
 
 def _as_inputs(x, bank):
@@ -88,19 +78,16 @@ class FeatureBuffers:
         self.phi = np.empty((rows, 2 * m))
 
 
-def trig_blocks(x, bank, mode, buffers=None):
-    """Yield (cos X W', sin X W') for each bank the mode's map sums.
+def trig_blocks(x, bank, buffers=None):
+    """Yield (cos X W', sin X W') for each of the bank's ``banks`` frequency sets.
 
     Both come from t = tan(X W'/2) (see the module docstring): halving W
     is exact, so t is the tangent of exactly half of the product X W'.
     A pair is written into ``buffers`` when given; a fresh one is dropped
     here once the caller asks for the next one.
     """
-    banks = _banks(mode)
-    if banks == 1 and not bank.stationary:
-        raise ValueError("stationary features need a stationary bank")
     x = _as_inputs(x, bank)
-    for i, omega in enumerate((bank.omega1, bank.omega2)[:banks]):
+    for i, omega in enumerate((bank.omega1, bank.omega2)[:bank.banks]):
         c, s = (np.empty((2, x.shape[0], bank.m)) if buffers is None
                 else buffers.pairs[i % len(buffers.pairs)][:, :x.shape[0]])
         np.matmul(x, 0.5 * omega.T, out=s)   # theta/2, exactly
@@ -114,9 +101,9 @@ def trig_blocks(x, bank, mode, buffers=None):
         del c, s
 
 
-def sum_blocks(blocks, m, mode, buffers=None):
+def sum_blocks(blocks, m, buffers=None):
     """Feature matrix [sum of cos blocks, sum of sin blocks], written into
-    ``buffers.phi`` when given.
+    ``buffers.phi`` when given; it records how many blocks it summed.
 
     Fed straight from trig_blocks, it holds one bank's blocks at a time.
     """
@@ -125,52 +112,36 @@ def sum_blocks(blocks, m, mode, buffers=None):
     phi = np.concatenate((c, s), axis=1,
                          out=None if buffers is None else buffers.phi[:len(c)])
     del c, s
-    for c, s in blocks:
+    banks = 1
+    for banks, (c, s) in enumerate(blocks, start=2):
         phi[:, :m] += c
         phi[:, m:] += s
-    return FeatureMatrix(phi, m, mode)
+    return FeatureMatrix(phi, m, banks)
 
 
-def features_for_mode(x, bank, mode, buffers=None):
-    return sum_blocks(trig_blocks(x, bank, mode, buffers), bank.m, mode, buffers)
+def features_for_mode(x, bank, buffers=None):
+    """The feature map the bank selects: one summed set if stationary, two if not."""
+    return sum_blocks(trig_blocks(x, bank, buffers), bank.m, buffers)
 
 
-def ridge_multiplier(m, mode):
-    """Feature count entering the weight-space ridge: m or 4m."""
-    return float(m * _banks(mode) ** 2)
+def ridge_multiplier(phi):
+    """Feature count entering the weight-space ridge: m for one bank, 4m for two."""
+    return float(phi.m * phi.banks ** 2)
 
 
-@dataclass(frozen=True)
-class KernelScale:
-    """Signal variance plus the mode-dependent 1/m vs 1/(4m) normalizer."""
-
-    sigma_f2: float
-    mode: str
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma_f2) and self.sigma_f2 > 0):
-            raise InvalidParams("sigma_f2 must be finite and positive")
-        if self.mode not in BANKS:
-            raise InvalidParams(f"unknown mode {self.mode!r}")
-
-    def normalizer(self, m):
-        return 1.0 / ridge_multiplier(m, self.mode)
-
-
-def kernel_estimate(phi, scale):
+def kernel_estimate(phi, sigma_f2):
     """n x n kernel induced by a feature block. Test/export scale only."""
     dense_kernel_gate()
-    return kernel_cross(phi, phi, scale)
+    return kernel_cross(phi, phi, sigma_f2)
 
 
-def kernel_cross(phi_a, phi_b, scale):
-    """Kernel block between two feature matrices built from one bank."""
-    if phi_a.mode != phi_b.mode or phi_a.m != phi_b.m:
-        raise ModeNormalizerMismatch("feature blocks disagree in mode or m")
-    if scale.mode != phi_a.mode:
-        raise ModeNormalizerMismatch(
-            f"scale normalizer is for {scale.mode} features, phi is {phi_a.mode}")
-    return (scale.sigma_f2 * scale.normalizer(phi_a.m)) * (phi_a.phi @ phi_b.phi.T)
+def kernel_cross(phi_a, phi_b, sigma_f2):
+    """Kernel block sigma_f^2 / M phi_a phi_b' of two feature matrices from one bank."""
+    if not (np.isfinite(sigma_f2) and sigma_f2 > 0):
+        raise InvalidParams("sigma_f2 must be finite and positive")
+    if (phi_a.m, phi_a.banks) != (phi_b.m, phi_b.banks):
+        raise DimensionMismatch("feature blocks disagree in m or bank count")
+    return (sigma_f2 * (1.0 / ridge_multiplier(phi_a))) * (phi_a.phi @ phi_b.phi.T)
 
 
 def kernel_matrix(spec, xa, xb):

@@ -242,6 +242,11 @@ class FrequencyBank:
     def dim(self):
         return self.omega1.shape[1]
 
+    @property
+    def banks(self):
+        """Frequency sets the feature map sums: 1 if stationary, else 2."""
+        return 1 if self.stationary else 2
+
     def copy(self):
         if self.stationary:
             return FrequencyBank(self.omega1.copy(), stationary=True)

@@ -21,8 +21,8 @@ each by one dpotrs, and |alpha1|^2 = b' A^-1 b = b' alpha2 gives
         + m log r - (n / 2) log(2 pi sigma_n^2)
 
 with no triangular solve. The saved model holds the factor R_A of A
-itself and alpha1 = R_A^-1 b. The posterior predictive at a feature
-row p is
+itself and alpha2; the bank alone picks the feature map. The posterior
+predictive at a feature row p is
 
     mean = p' alpha2,
     var  = sigma_n^2 (1 + |R_A^-1 p|^2),
@@ -47,12 +47,12 @@ from . import linalg
 from .data import StandardizationStats
 from .errors import (DimensionMismatch, InvalidParams, InvalidSpec,
                      SchemaMismatch)
-from .features import (NONSTATIONARY, STATIONARY, FeatureBuffers,
-                       dense_kernel_gate, features_for_mode, ridge_multiplier)
+from .features import (FeatureBuffers, dense_kernel_gate, features_for_mode,
+                       ridge_multiplier)
 from .measures import (_decode_array, _encode_array, _json_array, _json_field,
                        _json_number, bank_from_json_dict, bank_to_json_dict)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # Smallest noise variance the trainer may reach (standardized units) and
 # the hard floor below which the dense oracle refuses to run.
@@ -94,19 +94,17 @@ class Hyperparams:
         return float(np.exp(self.log_sigma_n2))
 
 
-def ridge_term(m, mode, hyper):
-    """r = M sigma_n^2 / sigma_f^2 with M = m or 4m by mode."""
-    return ridge_multiplier(m, mode) * hyper.sigma_n2 / hyper.sigma_f2
+def ridge_term(phi, hyper):
+    """r = M sigma_n^2 / sigma_f^2 with M = m or 4m by phi's bank count."""
+    return ridge_multiplier(phi) * hyper.sigma_n2 / hyper.sigma_f2
 
 
 @dataclass(eq=False)
 class FitState:
     r: np.ndarray        # lower Cholesky factor of A, (2m, 2m)
-    alpha1: np.ndarray   # R^-1 phi' y
     alpha2: np.ndarray   # A^-1 phi' y
     hyper: Hyperparams
     bank: object
-    mode: str
     jitter: float = 0.0
     standardization: StandardizationStats = None
     input_columns: list = None
@@ -142,7 +140,7 @@ def reduced_core(phi, y, hyper, buffers=None):
     mat = phi.phi
     n = mat.shape[0]
     m = phi.m
-    ridge = ridge_term(m, phi.mode, hyper)
+    ridge = ridge_term(phi, hyper)
     b = mat.T @ y
     if n >= 2 * m:
         chol, jitter = _factor_gram(mat, ridge, buffers)
@@ -168,12 +166,9 @@ def fit_state(phi, y, hyper, bank, standardization=None, input_columns=None):
     everything needed to predict: predict and model.json use its factor."""
     y = _targets(phi, y)
     mat = phi.phi
-    r, jitter = _factor_gram(mat, ridge_term(phi.m, phi.mode, hyper))
-    b = mat.T @ y
-    alpha2 = linalg.solve_factored(r, b)
-    alpha1 = linalg.solve_lower(r, b)
-    return FitState(r, alpha1, alpha2, hyper, bank, phi.mode, jitter,
-                    standardization, input_columns)
+    r, jitter = _factor_gram(mat, ridge_term(phi, hyper))
+    alpha2 = linalg.solve_factored(r, mat.T @ y)
+    return FitState(r, alpha2, hyper, bank, jitter, standardization, input_columns)
 
 
 def log_marginal_likelihood_reduced(phi, y, hyper):
@@ -255,7 +250,7 @@ def predict(state, x_star):
     rinv = linalg.inverse_lower(state.r)
     for lo in range(0, n, rows):
         chunk = slice(lo, lo + rows)
-        phi = features_for_mode(x_star[chunk], state.bank, state.mode, buffers).phi
+        phi = features_for_mode(x_star[chunk], state.bank, buffers).phi
         np.matmul(phi, state.alpha2, out=mean[chunk])
         v = dtrmm(1.0, rinv, phi.T, lower=1, overwrite_b=1)
         np.square(v, out=v)
@@ -268,12 +263,10 @@ def predict(state, x_star):
 def save_model(path, state):
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "mode": state.mode,
         "bank": bank_to_json_dict(state.bank),
         "hyperparams": {"log_sigma_f2": state.hyper.log_sigma_f2,
                         "log_sigma_n2": state.hyper.log_sigma_n2},
         "fit": {"r": _encode_array(state.r),
-                "alpha1": _encode_array(state.alpha1),
                 "alpha2": _encode_array(state.alpha2),
                 "jitter": state.jitter},
         "standardization": None,
@@ -314,12 +307,7 @@ def load_model(path):
         version = _json_field(doc, "format_version", "document")
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise InvalidSpec(f"unsupported model format version {version!r}")
-        mode = _json_field(doc, "mode", "document")
-        if mode not in (STATIONARY, NONSTATIONARY):
-            raise InvalidSpec(f"unknown mode {mode!r}")
         bank = bank_from_json_dict(_json_field(doc, "bank", "document"))
-        if mode == STATIONARY and not bank.stationary:
-            raise InvalidSpec("stationary mode needs a stationary bank")
         k, dim = 2 * bank.m, bank.dim
 
         hp = _json_field(doc, "hyperparams", "document")
@@ -331,9 +319,9 @@ def load_model(path):
                                   f"or infinite")
 
         fit = _json_field(doc, "fit", "document")
-        r, alpha1, alpha2 = (
+        r, alpha2 = (
             _shaped(_decode_array(_json_field(fit, key, "fit"), key), key, shape)
-            for key, shape in (("r", (k, k)), ("alpha1", (k,)), ("alpha2", (k,))))
+            for key, shape in (("r", (k, k)), ("alpha2", (k,))))
         if not np.all(np.diagonal(r) > 0.0) or np.any(np.triu(r, 1)):
             raise InvalidSpec("r is not lower-triangular with a positive diagonal")
         jitter = _json_number(fit.get("jitter", 0.0), "jitter")
@@ -361,4 +349,4 @@ def load_model(path):
         raise SchemaMismatch(f"model file: {exc}") from None
     except RecursionError:
         raise SchemaMismatch("model file: JSON is nested too deeply") from None
-    return FitState(r, alpha1, alpha2, hyper, bank, mode, jitter, stats, columns)
+    return FitState(r, alpha2, hyper, bank, jitter, stats, columns)

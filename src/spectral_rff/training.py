@@ -2,7 +2,7 @@
 
 The objective is the reduced log marginal likelihood L from the model
 module, maximized by ADAM (as descent on -L) over log sigma_f^2,
-log sigma_n^2 and, depending on the mode, the frequency banks.
+log sigma_n^2 and the frequency sets in the mode's ``trained`` tuple.
 
 Gradients are analytic. Writing b = phi' y, A = phi' phi + r I and
 G = A^-1, the derivative of L with respect to the feature matrix is
@@ -60,26 +60,24 @@ from scipy.linalg.lapack import dlauum
 from . import linalg, model
 from .data import Dataset
 from .errors import DegenerateSplit, FactorizationFailed, NonFiniteLoss
-from .features import (BANKS, NONSTATIONARY, STATIONARY, FeatureBuffers,
-                       features_for_mode, ridge_multiplier, sum_blocks,
-                       trig_blocks)
+from .features import (FeatureBuffers, features_for_mode, ridge_multiplier,
+                       sum_blocks, trig_blocks)
 from .measures import (FrequencyBank, GaussianSE, sample_nonstationary,
                        sample_stationary)
 
 
 class Mode(NamedTuple):
     token: str       # command line spelling
-    features: str    # feature map, as saved in model.json
-    trained: tuple   # frequency parameters ADAM updates, one per bank
+    trained: tuple   # frequency sets ADAM updates, one per bank
 
 
 STATIONARY_FIXED = "stationary_fixed"
 STATIONARY_LEARNED = "stationary_learned"
 NONSTATIONARY_LEARNED = "nonstationary_learned"
 MODES = {
-    STATIONARY_FIXED: Mode("stationary-fixed", STATIONARY, ()),
-    STATIONARY_LEARNED: Mode("stationary", STATIONARY, ("omega",)),
-    NONSTATIONARY_LEARNED: Mode("nonstationary", NONSTATIONARY, ("omega1", "omega2")),
+    STATIONARY_FIXED: Mode("stationary-fixed", ()),
+    STATIONARY_LEARNED: Mode("stationary", ("omega",)),
+    NONSTATIONARY_LEARNED: Mode("nonstationary", ("omega1", "omega2")),
 }
 
 @dataclass
@@ -114,10 +112,6 @@ class TrainConfig:
             raise ValueError("validation_fraction must lie in (0, 1)")
         if not 0 <= self.dropout_sigma_p < math.inf:
             raise ValueError("dropout_sigma_p must be nonnegative and finite")
-
-    @property
-    def feature_mode(self):
-        return MODES[self.mode].features
 
 
 @dataclass
@@ -205,10 +199,10 @@ def log_variance_grads(ridge, sigma_n2, yy, a1_sq, a2_sq, tr_g, m, n):
 
 class StepWorkspace(FeatureBuffers):
     """lml_gradient's buffers for n rows and m frequencies, whatever the
-    mode: a pair per bank of either map, so no mode can share one."""
+    mode: a pair for each of up to two banks, so no mode can share one."""
 
     def __init__(self, n, m):
-        super().__init__(n, m, max(BANKS.values()))
+        super().__init__(n, m, 2)
         k = min(n, 2 * m)
         self.gram = np.empty((k, k))
         self.chol = np.empty((k, k), order="F")
@@ -227,14 +221,16 @@ def lml_gradient(x, y, bank, hyper, mode, work=None):
     """
     if mode not in MODES:
         raise ValueError(f"unknown training mode {mode!r}")
-    fmode, trained = MODES[mode].features, MODES[mode].trained
+    trained = MODES[mode].trained
+    if trained and len(trained) != bank.banks:
+        raise ValueError(f"mode {mode} trains {len(trained)} banks, not {bank.banks}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     m = bank.m
     if work is None:
         work = StepWorkspace(x.shape[0], m)
-    blocks = list(trig_blocks(x, bank, fmode, work))
-    phi = sum_blocks(blocks, m, fmode, work)
+    blocks = list(trig_blocks(x, bank, work))
+    phi = sum_blocks(blocks, m, work)
     core = model.reduced_core(phi, y, hyper, work)
     chol, alpha2 = core["chol"], core["alpha2"]
     k = chol.shape[0]
@@ -283,8 +279,9 @@ class _FixedBankObjective:
     and the other 2m - n eigenvalues are zero, so both are zero-padded.
     """
 
-    def __init__(self, x, y, bank, fmode):
-        phi = features_for_mode(x, bank, fmode).phi
+    def __init__(self, x, y, bank):
+        block = features_for_mode(x, bank)
+        phi = block.phi
         n, k = phi.shape
         if n < k:
             lam, u = np.linalg.eigh(linalg.gram(phi.T))
@@ -299,7 +296,7 @@ class _FixedBankObjective:
         self.yy = float(y @ y)
         self.n = n
         self.m = bank.m
-        self.mult = ridge_multiplier(bank.m, fmode)
+        self.mult = ridge_multiplier(block)
 
     def value_and_grads(self, hyper):
         sigma_n2 = hyper.sigma_n2
@@ -351,7 +348,7 @@ def adam_step(params, loss_grads, state, config):
 
 def _initial_bank(spec_init, x, config, rng):
     d = x.shape[1]
-    pairs = config.feature_mode == NONSTATIONARY
+    pairs = len(MODES[config.mode].trained) == 2
     if isinstance(spec_init, FrequencyBank):
         bank = spec_init
         if pairs and bank.stationary:
@@ -427,8 +424,8 @@ def train(dataset, config, spec_init=None):
 
     fixed_fast = not MODES[config.mode].trained and config.dropout_sigma_p == 0.0
     if fixed_fast:
-        train_obj = _FixedBankObjective(x_tr, y_tr, bank0, config.feature_mode)
-        val_obj = _FixedBankObjective(x_val, y_val, bank0, config.feature_mode)
+        train_obj = _FixedBankObjective(x_tr, y_tr, bank0)
+        val_obj = _FixedBankObjective(x_val, y_val, bank0)
     else:
         work = StepWorkspace(x_tr.shape[0], bank0.m)
 
@@ -475,7 +472,7 @@ def train(dataset, config, spec_init=None):
                 if fixed_fast:
                     val_lml = val_obj.value(hyper_now)
                 else:
-                    phi_val = features_for_mode(x_val, bank_now, config.feature_mode)
+                    phi_val = features_for_mode(x_val, bank_now)
                     val_lml = model.log_marginal_likelihood_reduced(phi_val, y_val, hyper_now)
                 if not math.isfinite(val_lml):
                     raise NonFiniteLoss(f"validation objective non-finite at step {step}", trace)
@@ -495,7 +492,7 @@ def train(dataset, config, spec_init=None):
     hyper_best = model.Hyperparams(float(chosen["log_sigma_f2"]),
                                    float(chosen["log_sigma_n2"]))
     bank_best = _bank_from_params(chosen, bank0, config.mode)
-    phi_full = features_for_mode(dataset.x, bank_best, config.feature_mode)
+    phi_full = features_for_mode(dataset.x, bank_best)
     state = model.fit_state(phi_full, dataset.y, hyper_best, bank_best,
                             input_columns=list(dataset.input_columns))
     return state, trace

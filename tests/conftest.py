@@ -16,25 +16,24 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
-from spectral_rff.features import NONSTATIONARY, STATIONARY
 from spectral_rff.linalg import cholesky
 from spectral_rff.measures import FrequencyBank
 from spectral_rff.model import Hyperparams
 
 
-def random_instance(rng, mode, max_n=50, max_m=10, max_d=3):
-    """Random (x, y, bank, hyper) with stationary or nonstationary bank."""
+def random_instance(rng, kind, max_n=50, max_m=10, max_d=3):
+    """Random (x, y, bank, hyper) with a "stationary" or "nonstationary" bank."""
     n = int(rng.integers(2, max_n + 1))
     m = int(rng.integers(1, max_m + 1))
     d = int(rng.integers(1, max_d + 1))
     omega1 = rng.standard_normal((m, d))
-    if mode == STATIONARY:
+    if kind == "stationary":
         bank = FrequencyBank(omega1, stationary=True)
-    elif mode == NONSTATIONARY:
+    elif kind == "nonstationary":
         bank = FrequencyBank(omega1, rng.standard_normal((m, d)),
                              stationary=False)
     else:
-        raise ValueError(mode)
+        raise ValueError(kind)
     x = rng.standard_normal((n, d))
     y = rng.standard_normal(n)
     hyper = Hyperparams.from_variances(float(np.exp(rng.uniform(-1.0, 1.0))),

@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 from spectral_rff import benchmarks, cli, data, model, training
-from spectral_rff.features import (NONSTATIONARY, STATIONARY, KernelScale,
-                                   features_for_mode, forbid_dense_kernel,
-                                   kernel_cross, kernel_estimate,
-                                   kernel_matrix)
+from spectral_rff.features import (features_for_mode, forbid_dense_kernel,
+                                   kernel_cross, kernel_estimate, kernel_matrix)
 from spectral_rff.linalg import seeded_rng
 from spectral_rff.measures import (FrequencyBank, GaussianSE, LaplacianCauchy,
                                    MaternT, sample_nonstationary,
@@ -46,12 +44,12 @@ def test_criterion_01_reduced_lml_equals_dense():
     rng = seeded_rng(0)
     t0 = time.perf_counter()
     worst = 0.0
-    for mode in (STATIONARY, NONSTATIONARY):
+    for mode in ("stationary", "nonstationary"):
         for _ in range(100):
             x, y, bank, hyper = random_instance(rng, mode)
-            phi = features_for_mode(x, bank, mode)
+            phi = features_for_mode(x, bank)
             reduced = log_marginal_likelihood_reduced(phi, y, hyper)
-            k = kernel_estimate(phi, KernelScale(hyper.sigma_f2, mode))
+            k = kernel_estimate(phi, hyper.sigma_f2)
             direct = log_marginal_likelihood_direct(k, y, hyper.sigma_n2)
             worst = max(worst, abs(reduced - direct) / max(1.0, abs(direct)))
     elapsed = time.perf_counter() - t0
@@ -63,18 +61,17 @@ def test_criterion_01_reduced_lml_equals_dense():
 def test_criterion_02_prediction_equals_dense_conditioning():
     rng = seeded_rng(0)
     worst_mean = worst_var = 0.0
-    for mode in (STATIONARY, NONSTATIONARY):
+    for mode in ("stationary", "nonstationary"):
         for _ in range(100):
             x, y, bank, hyper = random_instance(rng, mode)
             x_star = rng.uniform(-2.0, 2.0, size=(5, x.shape[1]))
-            phi = features_for_mode(x, bank, mode)
+            phi = features_for_mode(x, bank)
             mean, var = predict(fit_state(phi, y, hyper, bank), x_star)
-            scale = KernelScale(hyper.sigma_f2, mode)
-            phi_star = features_for_mode(x_star, bank, mode)
+            phi_star = features_for_mode(x_star, bank)
             mean_o, var_o = dense_conditioning(
-                kernel_estimate(phi, scale),
-                kernel_cross(phi, phi_star, scale),
-                np.diag(kernel_estimate(phi_star, scale)),
+                kernel_estimate(phi, hyper.sigma_f2),
+                kernel_cross(phi, phi_star, hyper.sigma_f2),
+                np.diag(kernel_estimate(phi_star, hyper.sigma_f2)),
                 y, hyper.sigma_n2)
             worst_mean = max(worst_mean, rel(mean, mean_o))
             worst_var = max(worst_var, rel(var, var_o))
@@ -87,7 +84,6 @@ def test_criterion_03_monte_carlo_error_shrinks_with_bank_size():
     t0 = time.perf_counter()
     grid = np.linspace(-3.0, 3.0, 61).reshape(-1, 1)
     anchor = np.zeros((1, 1))
-    scale = KernelScale(1.0, STATIONARY)
     factors = {}
     for label, spec in (("se", GaussianSE([1.0])),
                         ("laplacian", LaplacianCauchy([1.0])),
@@ -98,8 +94,8 @@ def test_criterion_03_monte_carlo_error_shrinks_with_bank_size():
             errs = []
             for seed in range(20):
                 bank = sample_stationary(spec, m, 1, seeded_rng(3_500_000 + seed))
-                k_hat = kernel_cross(features_for_mode(anchor, bank, STATIONARY),
-                                     features_for_mode(grid, bank, STATIONARY), scale)[0]
+                k_hat = kernel_cross(features_for_mode(anchor, bank),
+                                     features_for_mode(grid, bank), 1.0)[0]
                 errs.append(float(np.max(np.abs(k_hat - k_true))))
             medians[m] = float(np.median(errs))
         factors[label] = medians[100] / medians[400]
@@ -119,10 +115,8 @@ def test_criterion_04_tied_banks_reduce_to_stationary():
         bank = sample_stationary(GaussianSE([1.0] * d), m, d, rng)
         tied = FrequencyBank(bank.omega1, bank.omega1.copy(), stationary=False)
         x = rng.uniform(-2.0, 2.0, size=(int(rng.integers(5, 30)), d))
-        k_st = kernel_estimate(features_for_mode(x, bank, STATIONARY),
-                               KernelScale(1.0, STATIONARY))
-        k_ns = kernel_estimate(features_for_mode(x, tied, NONSTATIONARY),
-                               KernelScale(1.0, NONSTATIONARY))
+        k_st = kernel_estimate(features_for_mode(x, bank), 1.0)
+        k_ns = kernel_estimate(features_for_mode(x, tied), 1.0)
         worst = max(worst, float(np.max(np.abs(k_st - k_ns))))
     report(4, "tied frequency pairs reproduce the stationary kernel",
            worst <= 1e-12, f"worst entrywise gap {worst:.3e}")
@@ -131,18 +125,17 @@ def test_criterion_04_tied_banks_reduce_to_stationary():
 def test_criterion_05_kernel_estimates_are_psd():
     rng = seeded_rng(11)
     worst = np.inf
-    for mode in (STATIONARY, NONSTATIONARY):
+    for mode in ("stationary", "nonstationary"):
         for _ in range(50):
             d = int(rng.integers(1, 4))
             m = int(rng.integers(2, 16))
             spec = GaussianSE(list(rng.uniform(0.3, 2.0, d)))
-            if mode == STATIONARY:
+            if mode == "stationary":
                 bank = sample_stationary(spec, m, d, rng)
             else:
                 bank = sample_nonstationary(spec, GaussianSE([1.0] * d), m, d, rng)
             x = rng.uniform(-2.0, 2.0, size=(int(rng.integers(5, 40)), d))
-            k = kernel_estimate(features_for_mode(x, bank, mode),
-                                KernelScale(1.0, mode))
+            k = kernel_estimate(features_for_mode(x, bank), 1.0)
             worst = min(worst, float(np.linalg.eigvalsh(k).min()))
     report(5, "kernel estimates are positive semidefinite",
            worst >= -1e-9, f"min eigenvalue over 100 banks {worst:.3e}")
@@ -154,22 +147,22 @@ def test_criterion_06_analytic_gradients_match_finite_differences():
     worst = 0.0
     checked = 0
 
-    def value(x, y, bank, hyper, fmode):
+    def value(x, y, bank, hyper):
         return log_marginal_likelihood_reduced(
-            features_for_mode(x, bank, fmode), y, hyper)
+            features_for_mode(x, bank), y, hyper)
 
-    for mode, fmode in ((STATIONARY_LEARNED, STATIONARY),
-                        (NONSTATIONARY_LEARNED, NONSTATIONARY)):
+    for mode, kind in ((STATIONARY_LEARNED, "stationary"),
+                       (NONSTATIONARY_LEARNED, "nonstationary")):
         for _ in range(30):
-            x, y, bank, hyper = random_instance(rng, fmode, max_n=30, max_m=6)
+            x, y, bank, hyper = random_instance(rng, kind, max_n=30, max_m=6)
             _, grads, _ = lml_gradient(x, y, bank, hyper, mode)
             for key in ("log_sigma_f2", "log_sigma_n2"):
                 hi = Hyperparams(hyper.log_sigma_f2, hyper.log_sigma_n2)
                 lo = Hyperparams(hyper.log_sigma_f2, hyper.log_sigma_n2)
                 setattr(hi, key, getattr(hyper, key) + h)
                 setattr(lo, key, getattr(hyper, key) - h)
-                fd = (value(x, y, bank, hi, fmode)
-                      - value(x, y, bank, lo, fmode)) / (2.0 * h)
+                fd = (value(x, y, bank, hi)
+                      - value(x, y, bank, lo)) / (2.0 * h)
                 worst = max(worst, abs(grads[key] - fd) / max(1.0, abs(fd)))
             keys = ["omega"] if mode == STATIONARY_LEARNED else ["omega1", "omega2"]
             for key in keys:
@@ -184,8 +177,8 @@ def test_criterion_06_analytic_gradients_match_finite_differences():
                             o2 = bank.omega2.copy()
                             (o1 if key == "omega1" else o2)[i, j] += sign * h
                             return FrequencyBank(o1, o2, stationary=False)
-                        fd = (value(x, y, shifted(+1), hyper, fmode)
-                              - value(x, y, shifted(-1), hyper, fmode)) / (2.0 * h)
+                        fd = (value(x, y, shifted(+1), hyper)
+                              - value(x, y, shifted(-1), hyper)) / (2.0 * h)
                         worst = max(worst, abs(grads[key][i, j] - fd)
                                     / max(1.0, abs(fd)))
             checked += 1
@@ -216,7 +209,7 @@ def test_criterion_07_dropout_contract():
                       dropout_sigma_p=0.4, seed=6)
     state, _ = train(ds, cfg, spec_init=init)
     clean_bank = bool(np.array_equal(state.bank.omega1, init.omega1))
-    rebuilt = fit_state(features_for_mode(ds.x, state.bank, cfg.feature_mode),
+    rebuilt = fit_state(features_for_mode(ds.x, state.bank),
                         ds.y, state.hyper, state.bank)
     rebuild_ok = (np.array_equal(rebuilt.alpha2, state.alpha2)
                   and np.array_equal(rebuilt.r, state.r))

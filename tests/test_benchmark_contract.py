@@ -134,3 +134,55 @@ def test_a_gradient_step_makes_one_inverse_and_no_wide_solves(monkeypatch, mode)
         assert all(c == 1 for c in columns)
         assert factored == [1]
         assert factors == [(min(n, 2 * m),) * 2]
+
+
+def state_reads(script, function):
+    """Dotted attribute chains a perfbench function reads off ``state``."""
+    tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    chains = set()
+    for node in ast.walk(fn):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == "state":
+            chains.add(".".join(reversed(parts)))
+    return sorted(chains)
+
+
+REFERENCE_READS = state_reads("run.py", "reference_predict")
+
+
+def test_the_state_read_scan_sees_the_known_fields():
+    assert {"r", "alpha2", "bank", "hyper", "standardization"} <= set(REFERENCE_READS)
+
+
+@pytest.fixture(scope="module")
+def loaded_state(tmp_path_factory):
+    from spectral_rff.data import StandardizationStats
+    from spectral_rff.features import features_for_mode
+    from spectral_rff.measures import FrequencyBank
+    from spectral_rff.model import Hyperparams, fit_state, load_model, save_model
+
+    rng = np.random.default_rng(3)
+    bank = FrequencyBank(rng.standard_normal((4, 1)), rng.standard_normal((4, 1)),
+                         stationary=False)
+    x = rng.uniform(-1.0, 1.0, (12, 1))
+    state = fit_state(features_for_mode(x, bank), np.sin(3.0 * x[:, 0]),
+                      Hyperparams.from_variances(1.0, 0.1), bank,
+                      StandardizationStats(np.zeros(1), np.ones(1), 0.0, 1.0), ["t"])
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(path, state)
+    return load_model(path)
+
+
+@pytest.mark.parametrize("chain", REFERENCE_READS)
+def test_every_model_field_the_reference_predictor_reads_exists(loaded_state, chain):
+    # perfbench checks every predict_200k run against reference_predict, so
+    # a FitState rename must fail here first
+    node = loaded_state
+    for attr in chain.split("."):
+        assert hasattr(node, attr), f"perfbench/run.py reads state.{chain}"
+        node = getattr(node, attr)

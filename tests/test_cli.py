@@ -8,10 +8,10 @@ import pytest
 
 from spectral_rff import cli, data, measures
 from spectral_rff.errors import InvalidSpec
-from spectral_rff.features import STATIONARY
 from spectral_rff.linalg import seeded_rng, spawn_rngs
 from spectral_rff.model import load_model
-from spectral_rff.training import MODES
+from spectral_rff.training import (MODES, NONSTATIONARY_LEARNED, STATIONARY_FIXED,
+                                   STATIONARY_LEARNED)
 
 
 def run_cli(argv):
@@ -64,9 +64,15 @@ def test_every_mode_token_fits_its_feature_map(name, sine_csv, tmp_path):
     out = tmp_path / "run"
     assert run_cli(fit_args(sine_csv, out, extra=["--mode", mode.token,
                                                   "--spec", "se:0.3"])) == 0
+    # the bank alone picks the map: model.json (format 2) stores no mode
+    # and no alpha1
     doc = json.loads((out / "model.json").read_text())
-    assert doc["mode"] == mode.features
-    assert doc["bank"]["stationary"] == (mode.features == STATIONARY)
+    assert doc["format_version"] == 2
+    assert "mode" not in doc and "alpha1" not in doc["fit"]
+    stationary = {STATIONARY_FIXED: True, STATIONARY_LEARNED: True,
+                  NONSTATIONARY_LEARNED: False}[name]
+    assert doc["bank"]["stationary"] == stationary
+    assert load_model(out / "model.json").bank.stationary == stationary
     if not mode.trained:
         # the bank is the seed's initial draw; train's second stream draws it
         init = measures.sample_stationary(measures.GaussianSE([0.3]), 8, 1,
@@ -329,6 +335,36 @@ def test_benchmark_overflowing_noise_is_one_error_line(name, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--split", "nan"],
+    ["fit", "--split", "0.999"],
+    ["benchmark", "chirp", "--n", "60", "--split", "nan"],
+    ["benchmark", "chirp", "--n", "60", "--split", "0.999"],
+    ["benchmark", "chirp", "--n", "60", "--runs", "0"],
+], ids=["fit-nan", "fit-0.999", "benchmark-nan", "benchmark-0.999", "benchmark-runs-0"])
+def test_a_bad_split_or_run_count_is_refused_before_the_progress_line(
+        argv, sine_csv, tmp_path, capsys):
+    # each used to log "fit: 60 rows ..." or "benchmark chirp: ..." first
+    out = tmp_path / "out"
+    extra = ["--data", sine_csv] if argv[0] == "fit" else ["--m", "4", "--max-steps", "1"]
+    assert run_cli([*argv, *extra, "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_huge_size_requests_are_one_line_without_float_overflow(
+        monkeypatch, sine_csv, tmp_path, capsys):
+    # a count of 10**400 used to end the size guard in an OverflowError
+    model_path = fitted_model(sine_csv, tmp_path)
+    capsys.readouterr()
+    huge = "1" + "0" * 400
+    for argv in (["grid", "--grid", f"0:1:{huge}"],
+                 ["kernel-dump", "--anchors", "0.5", "--count", huge]):
+        assert run_cli([*argv, "--model", str(model_path),
+                        "--out-dir", str(tmp_path / "big")]) == 1
+        assert_one_error_line(capsys, "physical memory")
+
+
 def test_memory_error_is_one_error_line(monkeypatch, capsys):
     def out_of_memory(args):
         raise MemoryError()
@@ -365,7 +401,9 @@ def test_oversized_requests_fail_in_one_line_before_allocating(
     out = tmp_path / "big"
     for argv in (["fit", "--data", sine_csv, "--m", "1024"],
                  ["grid", "--model", str(model_path), "--grid", "0:1:200000"],
-                 ["spectrum", "--spec", "se", "--m", "300000"]):
+                 ["spectrum", "--spec", "se", "--m", "300000"],
+                 ["kernel-dump", "--model", str(model_path), "--anchors", "0.5",
+                  "--count", "100000"]):
         assert run_cli(argv + ["--out-dir", str(out)]) == 1, argv
         captured = capsys.readouterr()
         err = captured.err.splitlines()
@@ -443,9 +481,21 @@ def test_benchmark_stock_csv_needs_data(sine_csv, tmp_path):
     out = str(tmp_path / "b")
     assert run_cli(["benchmark", "stock-csv", "--runs", "1",
                     "--out-dir", out]) == 1
-    assert run_cli(["benchmark", "stock-csv", "--runs", "1", "--n", "60",
+    assert run_cli(["benchmark", "stock-csv", "--runs", "1",
                     "--m", "8", "--max-steps", "5", "--data", sine_csv,
                     "--out-dir", out]) == 0
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "5"), ("--noise", "7"), ("--seed", "3")])
+def test_benchmark_stock_csv_refuses_the_generator_flags(flag, value, sine_csv,
+                                                         tmp_path, capsys):
+    # the rows come from --data; these flags used to be ignored without a word
+    out = tmp_path / "b"
+    assert run_cli(["benchmark", "stock-csv", "--runs", "1", "--m", "8",
+                    "--max-steps", "5", "--data", sine_csv, flag, value,
+                    "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, flag)
+    assert not out.exists()
 
 
 def test_unknown_subcommand_and_benchmark_name(tmp_path):

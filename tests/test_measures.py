@@ -19,7 +19,7 @@ from spectral_rff import measures
 from spectral_rff.errors import (DimensionMismatch, IncompatibleDims,
                                  InvalidSpec, NonMonotoneMarginal,
                                  UnsupportedSpec)
-from spectral_rff.features import STATIONARY, features_for_mode, kernel_matrix
+from spectral_rff.features import features_for_mode, kernel_matrix
 from spectral_rff.linalg import seeded_rng
 from spectral_rff.measures import (FrequencyBank, GaussianCopula,
                                    GaussianSE, LaplacianCauchy, MaternT,
@@ -189,7 +189,7 @@ def test_empirical_sampling_returns_a_copy():
     with pytest.raises(UnsupportedSpec):
         sample_stationary(base, 3, 2, seeded_rng(0))
     with pytest.raises(DimensionMismatch):
-        features_for_mode(np.zeros((4, 1)), base, STATIONARY)
+        features_for_mode(np.zeros((4, 1)), base)
 
 
 def test_empirical_has_no_density():

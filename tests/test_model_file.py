@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from spectral_rff import cli, data
 from spectral_rff.errors import SchemaMismatch
-from spectral_rff.features import NONSTATIONARY, features_for_mode
+from spectral_rff.features import features_for_mode
 from spectral_rff.linalg import seeded_rng
 from spectral_rff.measures import FrequencyBank, _decode_array, _encode_array
 from spectral_rff.model import Hyperparams, fit_state, load_model, save_model
@@ -32,7 +32,7 @@ def write_model(path):
     y = np.sin(2.0 * x[:, 0]) + x[:, 1]
     stats = data.StandardizationStats(np.array([0.1, -0.2]),
                                       np.array([1.5, 0.5]), 0.3, 2.0)
-    state = fit_state(features_for_mode(x, bank, NONSTATIONARY), y,
+    state = fit_state(features_for_mode(x, bank), y,
                       Hyperparams.from_variances(1.0, 0.1), bank,
                       standardization=stats, input_columns=["x1", "x2"])
     save_model(path, state)
@@ -65,7 +65,7 @@ SCHEMA_BREAKS = {
     "r zero diagonal": lambda doc: reencode(doc, "r", with_entry((2, 2), 0.0)),
     "r negative diagonal": lambda doc: reencode(doc, "r", with_entry((1, 1), -1.0)),
     "r nan": lambda doc: reencode(doc, "r", with_entry((4, 1), np.nan)),
-    "alpha1 short": lambda doc: reencode(doc, "alpha1", lambda a: a[:7]),
+    "alpha2 one short": lambda doc: reencode(doc, "alpha2", lambda a: a[:7]),
     "alpha2 short": lambda doc: reencode(doc, "alpha2", lambda a: a[:3]),
     "input_mean short": lambda doc: doc["standardization"]["input_mean"].pop(),
     "input_std long": lambda doc: doc["standardization"]["input_std"].append(1.0),
@@ -86,9 +86,9 @@ SCHEMA_BREAKS = {
     "variance overflows": lambda doc: doc["hyperparams"].update(log_sigma_n2=1000.0),
     "variance underflows": lambda doc: doc["hyperparams"].update(log_sigma_f2=-1000.0),
     "boolean format_version": lambda doc: doc.update(format_version=True),
-    "float format_version": lambda doc: doc.update(format_version=1.0),
-    "bad base64": lambda doc: doc["fit"]["alpha1"].update(data="not base64!"),
-    "shape data disagree": lambda doc: doc["fit"]["alpha1"].update(shape=[9]),
+    "float format_version": lambda doc: doc.update(format_version=2.0),
+    "bad base64": lambda doc: doc["fit"]["alpha2"].update(data="not base64!"),
+    "shape data disagree": lambda doc: doc["fit"]["alpha2"].update(shape=[9]),
 }
 
 
@@ -139,6 +139,16 @@ def test_predict_without_hyperparams_exits_1_without_traceback(tmp_path, capsys)
     doc = write_model(tmp_path / "model.json")
     del doc["hyperparams"]
     assert_clean_refusal(*predict_with_model_doc(tmp_path, capsys, doc))
+
+
+def test_predict_with_a_version_1_model_file_names_the_version(tmp_path, capsys):
+    # version 1 also stored the feature mode and alpha1 = R^-1 b
+    doc = write_model(tmp_path / "model.json")
+    doc.update(format_version=1, mode="nonstationary")
+    doc["fit"]["alpha1"] = doc["fit"]["alpha2"]
+    code, err, out = predict_with_model_doc(tmp_path, capsys, doc)
+    assert_clean_refusal(code, err, out)
+    assert "version 1" in err
 
 
 def test_predict_with_short_input_std_is_refused_not_broadcast(tmp_path, capsys):
