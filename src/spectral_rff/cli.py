@@ -176,17 +176,18 @@ def _metrics_line(mse, corr):
 def cmd_fit(args):
     from . import model
     from .benchmarks import fit_and_score
-    from .data import split_rows
+    from .data import split_rows, validation_rows
     from .training import MODES, TrainConfig
 
     dataset = _load_dataset(args)
-    split_rows(dataset.n, args.split)
+    n_train = split_rows(dataset.n, args.split)
     mode = next(name for name, m in MODES.items() if m.token == args.mode)
     config = TrainConfig(mode=mode, m=args.m,
                          learning_rate=args.lr, max_steps=args.max_steps,
                          patience=args.patience, eval_every=args.eval_every,
                          validation_fraction=args.val_frac,
                          dropout_sigma_p=args.sigma_p, seed=args.seed)
+    validation_rows(n_train, config.validation_fraction)
     _check_fit_memory(dataset.n, args.m, f"fit with --m {args.m}")
     spec_init = _resolve_spec(args.spec, dataset.dim)
     _log(f"fit: {dataset.n} rows, dim {dataset.dim}, mode {args.mode}, m {args.m}")
@@ -199,10 +200,10 @@ def cmd_fit(args):
     return 0
 
 
-def _standardized(x, st):
+def _standardized(x, st, first_row=0):
     """Inputs in the model's standardized units; a finite row far outside
     the training range can overflow there, and is refused by its 1-based
-    row number rather than predicted as nan."""
+    row number, counted from ``first_row``, rather than predicted as nan."""
     import numpy as np
 
     from . import data
@@ -211,23 +212,28 @@ def _standardized(x, st):
         z = data.standardize_inputs(x, st)
     bad = ~np.isfinite(z).all(axis=1)
     if bad.any():
-        raise InvalidSpec(f"data row {int(np.argmax(bad)) + 1} is not finite "
-                          f"after standardizing with the model's input statistics")
+        raise InvalidSpec(f"data row {first_row + int(np.argmax(bad)) + 1} is not "
+                          f"finite after standardizing with the model's input statistics")
     return z
 
 
-def _predict_data_units(state, x):
-    """Predictive mean and variance at raw inputs, in the data's units."""
+def _predict_data_units(state, x, work=None, first_row=0):
+    """Predictive mean and variance at raw inputs, in the data's units;
+    ``x`` starts at data row ``first_row`` + 1."""
     from . import data, model
 
     st = state.standardization
     if st is None:
-        return model.predict(state, x)
-    mean, var = model.predict(state, _standardized(x, st))
+        return model.predict(state, x, work)
+    mean, var = model.predict(state, _standardized(x, st, first_row), work)
     return data.destandardize_predictions(mean, var, st)
 
 
 def cmd_predict(args):
+    """Stream the query a block at a time through the reader, the model
+    and the writer, so memory stays flat in its row count. The rows go to
+    a partial file that becomes predictions.csv only once all are written,
+    and that is removed on any error."""
     from . import data, model
 
     state = model.load_model(args.model)
@@ -238,14 +244,28 @@ def cmd_predict(args):
         cols = list(state.input_columns)
     else:
         cols = list(header)
-    x = data.read_table(args.data, cols)
-    if x.shape[1] != state.bank.dim:
+    if len(cols) != state.bank.dim:
         raise SchemaMismatch(f"model expects {state.bank.dim} input columns, "
-                             f"file provides {x.shape[1]}")
-    mean, var = _predict_data_units(state, x)
+                             f"file provides {len(cols)}")
+    work = model.PredictWorkspace(state)
+    # blocks of whole chunks, so each row is computed as in one call over
+    # all rows; as many chunks as one write chunk holds, as 256-row blocks
+    # were about 5% slower at m = 150
+    rows = work.rows * max(1, data.CHUNK_ROWS // work.rows)
+    blocks = data.read_blocks(args.data, cols, rows)
+    predicted = ((x, *_predict_data_units(state, x, work, i * rows))
+                 for i, x in enumerate(blocks))
     _outdir(args)
-    data.write_predictions_csv(_out(args, "predictions.csv"), x, mean, var, cols)
-    _log(f"predict: wrote {x.shape[0]} rows")
+    path = _out(args, "predictions.csv")
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        written = data.write_predictions_csv(partial, predicted, cols)
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
+    _log(f"predict: wrote {written} rows")
     return 0
 
 
@@ -271,14 +291,14 @@ def cmd_grid(args):
     if len(spec.counts) != state.bank.dim:
         raise SchemaMismatch(f"model expects {state.bank.dim} grid axes, "
                              f"got {len(spec.counts)}")
-    # the grid, its standardized copy and four output columns
-    count = math.prod(spec.counts)
-    _check_memory(8 * count * (2 * spec.dim + 4), f"grid of {count} points")
+    # the grid, its standardized copy and four output columns; the request
+    # is named by its flag, as a count past 4,300 digits has no str()
+    _check_memory(8 * math.prod(spec.counts) * (2 * spec.dim + 4), f"--grid {args.grid}")
     x = data.make_grid(spec)
     mean, var = _predict_data_units(state, x)
     cols = state.input_columns or [f"x{i + 1}" for i in range(state.bank.dim)]
     _outdir(args)
-    data.write_predictions_csv(_out(args, "grid.csv"), x, mean, var, cols)
+    data.write_predictions_csv(_out(args, "grid.csv"), [(x, mean, var)], cols)
     if len(spec.counts) == 2:
         data.write_pgm(_out(args, "mean.pgm"), mean.reshape(spec.counts))
         data.write_pgm(_out(args, "variance.pgm"), var.reshape(spec.counts))

@@ -15,8 +15,10 @@ import numpy as np
 from .errors import (ConstantColumn, DegenerateSplit, EmptyFile,
                      MalformedCsv, MissingColumn, NonNumericCell)
 
-# rows the table writers format per write, which bounds their working memory
-WRITE_CHUNK_ROWS = 4096
+# rows the table writers format per write, which bounds their working
+# memory; read_table parses blocks of as many rows, and predict streams
+# blocks of at most this many rows unless one predict chunk is longer
+CHUNK_ROWS = 4096
 
 
 def _fmt(v):
@@ -121,12 +123,15 @@ def _csv_records(fh, path):
         raise MalformedCsv(f"{path}: {exc}") from None
 
 
-def read_table(path, columns):
-    """Read the named numeric columns; returns an (n, len(columns)) array.
+def read_blocks(path, columns, rows):
+    """Yield the named numeric columns, ``rows`` data rows at a time, as
+    (rows, len(columns)) arrays; the last block may be shorter, and a
+    header-only file yields none.
 
     Rows are kept in file order; any missing or non-numeric field raises
-    NonNumericCell with the 1-based data row index. Values are gathered
-    in one flat float64 buffer, 8 bytes a cell, and reshaped once.
+    NonNumericCell with the 1-based data row index in the whole file.
+    Each block's values are gathered in one flat float64 buffer, 8 bytes
+    a cell, and reshaped once.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _csv_records(fh, path)
@@ -142,8 +147,19 @@ def read_table(path, columns):
             for name, j in wanted:
                 cell = record[j] if j < len(record) else None
                 values.append(_parse_cell(cell, r, name))
-    if values:
-        return np.frombuffer(values, dtype=float).reshape(-1, len(columns))
+            if r % rows == 0:
+                yield np.frombuffer(values, dtype=float).reshape(-1, len(columns))
+                values = array("d")
+        if values:
+            yield np.frombuffer(values, dtype=float).reshape(-1, len(columns))
+
+
+def read_table(path, columns):
+    """Read the named numeric columns; returns an (n, len(columns)) array,
+    the blocks of read_blocks joined in file order."""
+    blocks = list(read_blocks(path, columns, CHUNK_ROWS))
+    if blocks:
+        return np.concatenate(blocks)
     return np.empty((0, len(columns)), dtype=float)
 
 
@@ -162,22 +178,27 @@ def load_csv(path, input_columns, output_column):
     return Dataset(table[:, :-1], table[:, -1], list(input_columns), output_column)
 
 
-def _write_table(path, header, columns):
-    """``columns``, (n,) or (n, k) arrays side by side, under a csv.writer
-    header; rows are formatted WRITE_CHUNK_ROWS at a time, so the whole
-    table is never stacked or turned into Python floats at once."""
-    n = len(columns[0])
+def _write_table(path, header, blocks):
+    """Each block, a list of (n,) or (n, k) arrays side by side, under a
+    csv.writer header; rows are formatted CHUNK_ROWS at a time, so
+    no block is stacked or turned into Python floats at once, and blocks
+    are written as they come. Returns the number of rows written."""
+    rows = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, n, WRITE_CHUNK_ROWS):
-            chunk = np.column_stack([c[lo:lo + WRITE_CHUNK_ROWS] for c in columns])
-            row = ",".join(["%.17g"] * chunk.shape[1]) + "\r\n"
-            fh.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+        for columns in blocks:
+            n = len(columns[0])
+            for lo in range(0, n, CHUNK_ROWS):
+                chunk = np.column_stack([c[lo:lo + CHUNK_ROWS] for c in columns])
+                row = ",".join(["%.17g"] * chunk.shape[1]) + "\r\n"
+                fh.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+            rows += n
+    return rows
 
 
 def save_dataset_csv(path, dataset):
     _write_table(path, list(dataset.input_columns) + [dataset.output_column],
-                 [dataset.x, dataset.y])
+                 [(dataset.x, dataset.y)])
 
 
 def standardize(dataset):
@@ -223,6 +244,16 @@ def split_rows(n, train_fraction):
     return n_train
 
 
+def validation_rows(n, validation_fraction):
+    """Rows held out for validation from n training rows (at least one),
+    refusing a fraction that leaves fewer than 2 rows to train on."""
+    n_val = max(1, int(round(validation_fraction * n)))
+    if n - n_val < 2:
+        raise DegenerateSplit(f"validation fraction {validation_fraction} "
+                              f"leaves {n - n_val} training rows")
+    return n_val
+
+
 def split(dataset, train_fraction, seed):
     """Seeded uniform partition into (train, test) datasets."""
     n_train = split_rows(dataset.n, train_fraction)
@@ -250,9 +281,12 @@ def write_matrix_csv(path, matrix):
             fh.write("\n")
 
 
-def write_predictions_csv(path, x, mean, variance, input_columns):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    _write_table(path, list(input_columns) + ["mean", "variance"], [x, mean, variance])
+def write_predictions_csv(path, blocks, input_columns):
+    """Write (x, mean, variance) blocks under the input columns, ``mean`` and
+    ``variance``, each block as it comes; returns the number of rows."""
+    return _write_table(path, list(input_columns) + ["mean", "variance"],
+                        ((np.atleast_2d(np.asarray(x, dtype=float)), mean, variance)
+                         for x, mean, variance in blocks))
 
 
 def write_pgm(path, matrix):

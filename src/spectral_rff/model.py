@@ -27,14 +27,15 @@ predictive at a feature row p is
     mean = p' alpha2,
     var  = sigma_n^2 (1 + |R_A^-1 p|^2),
 
-with R_A^-1 formed once per predict call, so each row chunk's
+with R_A^-1 formed once per PredictWorkspace, so each row chunk's
 |R_A^-1 p|^2 is one triangular multiply. Both agree with dense
 conditioning on the induced kernel to rounding. A dense O(n^3) path is
 kept alongside as the oracle for tests. Besides the features, a
 training step holds no matrix larger than min(n, 2m)^2; only fit_state
 and predict hold the 2m x 2m R_A. predict owns one chunk's buffers for
-the whole call, and reduced_core writes into the trainer's when given
-them; no other array returned here aliases a buffer.
+the whole call, or for every call given the same PredictWorkspace, and
+reduced_core writes into the trainer's when given them; no other array
+returned here aliases a buffer.
 """
 
 import json
@@ -60,11 +61,13 @@ SIGMA_N2_FLOOR = 1e-10
 DIRECT_SIGMA_N2_MIN = 1e-12
 
 # predict() works through row chunks whose n x 2m feature block takes
-# about this many bytes; 8 MiB is about 3,300 rows at m = 150. Chunk
-# sizes are multiples of PREDICT_CHUNK_ALIGN rows: BLAS blocks rows in
-# small groups, and aligned chunks keep every row in the same group as
-# in a single whole-block call.
-PREDICT_CHUNK_BYTES = 8 * 2 ** 20
+# about this many bytes: 600 KiB is 256 rows at m = 150, so the block
+# and its (2, rows, m) cos/sin pair, 1.2 MiB together, stay in a core's
+# L2 cache through the trig map's elementwise passes. Chunk sizes are
+# multiples of PREDICT_CHUNK_ALIGN rows: BLAS blocks rows in small
+# groups, and aligned chunks keep every row in the same group as in a
+# single whole-block call.
+PREDICT_CHUNK_BYTES = 600 * 2 ** 10
 PREDICT_CHUNK_ALIGN = 256
 
 # Largest magnitude of a log-variance: exp() overflows double precision
@@ -224,35 +227,49 @@ def _chunk_rows(m):
     return max(PREDICT_CHUNK_ALIGN, rows - rows % PREDICT_CHUNK_ALIGN)
 
 
-def predict(state, x_star):
+class PredictWorkspace(FeatureBuffers):
+    """What predict() forms once per model: R^-1 and one chunk's buffers,
+    a (cos, sin) pair that the banks take in turn and the feature block.
+    ``rows`` is the chunk length; ``n`` caps the buffers for a call that
+    predicts fewer rows than one chunk."""
+
+    def __init__(self, state, n=None):
+        self.rows = _chunk_rows(state.bank.m)
+        super().__init__(self.rows if n is None else min(n, self.rows), state.bank.m, 1)
+        self.rinv = linalg.inverse_lower(state.r)
+
+
+def predict(state, x_star, work=None):
     """Posterior predictive mean and variance at new inputs.
 
     Runs in O(n_star m^2 + m^3) time: R^-1 is formed once, then each
     row chunk costs one feature map and one triangular multiply. x_star
-    is walked in row chunks whose feature block holds about
-    PREDICT_CHUNK_BYTES, so the working memory is O(chunk m) on top of
-    the length-n_star outputs, however many rows are asked for. Chunk
-    starts sit on multiples of PREDICT_CHUNK_ALIGN rows, so BLAS groups
-    every row as in one whole-block pass; with OpenBLAS the mean is
-    bitwise equal to that pass. One (cos, sin) pair, which the banks take
-    in turn, and one feature block, which dtrmm overwrites after the
-    mean is taken, serve every chunk.
+    is walked in chunks of ``work.rows`` rows, whose feature block holds
+    about PREDICT_CHUNK_BYTES, so the working memory is O(chunk m) on
+    top of the length-n_star outputs. Chunk starts sit on multiples of
+    PREDICT_CHUNK_ALIGN rows, so BLAS groups every row as in one
+    whole-block pass; with OpenBLAS the mean is bitwise equal to that
+    pass. The feature block, which dtrmm overwrites after the mean is
+    taken, serves every chunk. ``work`` is a PredictWorkspace of this
+    state, fresh by default: a caller that predicts block by block
+    passes one, so R^-1 and the buffers are made once, and blocks of
+    whole chunks give the bits one call over all rows would.
     """
     x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
     if x_star.shape[1] != state.bank.dim:
         raise DimensionMismatch(
             f"inputs have dimension {x_star.shape[1]}, model has {state.bank.dim}")
     n = x_star.shape[0]
+    if work is None:
+        work = PredictWorkspace(state, n)
     mean = np.empty(n)
     var = np.empty(n)
-    rows = _chunk_rows(state.bank.m)
-    buffers = FeatureBuffers(min(rows, n), state.bank.m, 1)
-    rinv = linalg.inverse_lower(state.r)
+    rows = work.rows
     for lo in range(0, n, rows):
         chunk = slice(lo, lo + rows)
-        phi = features_for_mode(x_star[chunk], state.bank, buffers).phi
+        phi = features_for_mode(x_star[chunk], state.bank, work).phi
         np.matmul(phi, state.alpha2, out=mean[chunk])
-        v = dtrmm(1.0, rinv, phi.T, lower=1, overwrite_b=1)
+        v = dtrmm(1.0, work.rinv, phi.T, lower=1, overwrite_b=1)
         np.square(v, out=v)
         np.sum(v, axis=0, out=var[chunk])
     var += 1.0

@@ -58,8 +58,8 @@ from scipy.linalg.blas import dsymm
 from scipy.linalg.lapack import dlauum
 
 from . import linalg, model
-from .data import Dataset
-from .errors import DegenerateSplit, FactorizationFailed, NonFiniteLoss
+from .data import Dataset, validation_rows
+from .errors import FactorizationFailed, NonFiniteLoss
 from .features import (FeatureBuffers, features_for_mode, ridge_multiplier,
                        sum_blocks, trig_blocks)
 from .measures import (FrequencyBank, GaussianSE, sample_nonstationary,
@@ -401,10 +401,7 @@ def train(dataset, config, spec_init=None):
         raise ValueError("train expects a standardized Dataset")
     rng_split, rng_init, rng_noise = linalg.spawn_rngs(config.seed, 3)
     n = dataset.n
-    n_val = max(1, int(round(config.validation_fraction * n)))
-    if n - n_val < 2:
-        raise DegenerateSplit(f"validation fraction {config.validation_fraction} "
-                              f"leaves {n - n_val} training rows")
+    n_val = validation_rows(n, config.validation_fraction)
     perm = rng_split.permutation(n)
     val_rows, train_rows = perm[:n_val], perm[n_val:]
     x_tr, y_tr = dataset.x[train_rows], dataset.y[train_rows]

@@ -1,12 +1,13 @@
 """End-to-end command line coverage through main(argv)."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from spectral_rff import cli, data, measures
+from spectral_rff import cli, data, measures, model
 from spectral_rff.errors import InvalidSpec
 from spectral_rff.linalg import seeded_rng, spawn_rngs
 from spectral_rff.model import load_model
@@ -199,6 +200,86 @@ def test_predict_header_only_input_gives_header_only_output(sine_csv, tmp_path):
     assert (out / "predictions.csv").read_text() == "t,mean,variance\n"
 
 
+def stream_bound(m):
+    """Rows that no predict block exceeds: blocks are whole chunks, as many
+    as one write chunk holds, or one chunk when that is larger."""
+    return max(data.CHUNK_ROWS, model._chunk_rows(m))
+
+
+def write_query(path, t):
+    np.savetxt(path, np.reshape(t, (-1, 1)), fmt="%.17g", header="t", comments="")
+
+
+@pytest.mark.parametrize("mode", ["stationary", "nonstationary"])
+def test_streamed_predictions_match_one_whole_array_pass_byte_for_byte(
+        sine_csv, tmp_path, mode):
+    # 100 frequencies give 256-row chunks, so a block holds 16 of them and
+    # stream_bound is the block length: three full blocks and a ragged fourth
+    fit = tmp_path / "fit"
+    argv = fit_args(sine_csv, fit)
+    argv[argv.index("--mode") + 1] = mode
+    argv[argv.index("--m") + 1] = "100"
+    assert run_cli(argv) == 0
+    state = load_model(fit / "model.json")
+    assert state.bank.stationary == (mode == "stationary")
+    x = seeded_rng(8).uniform(-0.5, 1.5, (3 * stream_bound(100) + 123, 1))
+    write_query(tmp_path / "query.csv", x)
+    out = tmp_path / "out"
+    assert run_cli(["predict", "--model", str(fit / "model.json"), "--data",
+                    str(tmp_path / "query.csv"), "--out-dir", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["predictions.csv"]
+    st = state.standardization
+    mean, var = model.predict(state, data.standardize_inputs(x, st))
+    data.write_predictions_csv(tmp_path / "whole.csv",
+                               [(x, *data.destandardize_predictions(mean, var, st))], ["t"])
+    assert (out / "predictions.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cell,words", [
+    ("abc", ("non-numeric", "'t'")),
+    ("1e308", ("not finite after standardizing",)),
+], ids=["non-numeric", "overflow"])
+def test_a_bad_row_past_the_first_block_is_named_and_leaves_no_file(
+        sine_csv, tmp_path, capsys, cell, words):
+    # blocks before the bad one are already written to the partial file
+    model_path = fitted_model(sine_csv, tmp_path)
+    bound = stream_bound(load_model(model_path).bank.m)
+    lines = ["t", *(format(v, ".17g") for v in np.linspace(0.0, 1.0, 3 * bound + 100))]
+    bad = 2 * bound + 17            # 1-based data row, in the third block or later
+    lines[bad] = cell
+    query = tmp_path / "query.csv"
+    query.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["predict", "--model", str(model_path), "--data", str(query),
+                        "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, f"data row {bad}", *words)
+    assert list(out.glob("*")) == []
+
+
+def test_predict_memory_is_flat_in_the_query_rows(sine_csv, tmp_path):
+    # the tracemalloc peak of a whole predict command moves by a few KB
+    # with the interpreter's caches and the collector's timing; one
+    # float64 column of the larger query's extra rows would add 720 KB
+    model_path = fitted_model(sine_csv, tmp_path)
+
+    def peak(n):
+        write_query(tmp_path / f"q{n}.csv", np.linspace(-0.5, 1.5, n))
+        tracemalloc.start()
+        try:
+            assert run_cli(["predict", "--model", str(model_path), "--data",
+                            str(tmp_path / f"q{n}.csv"), "--out-dir", str(tmp_path / "out")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10_000)                    # first-use caches
+    small, large = peak(10_000), peak(100_000)
+    assert large <= small + 16 * 2 ** 10, (small, large)
+
+
 def test_grid_one_dimensional(sine_csv, tmp_path):
     model_path = fitted_model(sine_csv, tmp_path)
     out = tmp_path / "grid"
@@ -209,7 +290,8 @@ def test_grid_one_dimensional(sine_csv, tmp_path):
     assert not (out / "mean.pgm").exists()
 
 
-def test_grid_two_dimensional_writes_images(tmp_path):
+def field_model(tmp_path):
+    """A two-input stationary-fixed model, fitted on 60 rows."""
     rng = seeded_rng(1)
     x = rng.uniform(0.0, 1.0, size=(60, 2))
     y = np.sin(4.0 * x[:, 0]) + x[:, 1] + 0.05 * rng.standard_normal(60)
@@ -220,15 +302,20 @@ def test_grid_two_dimensional_writes_images(tmp_path):
                     "stationary-fixed", "--m", "16", "--lr", "0.05",
                     "--max-steps", "10", "--eval-every", "5", "--sigma-p",
                     "0", "--out-dir", str(out)]) == 0
+    return out / "model.json"
+
+
+def test_grid_two_dimensional_writes_images(tmp_path):
+    model_path = field_model(tmp_path)
     grid_out = tmp_path / "grid"
-    assert run_cli(["grid", "--model", str(out / "model.json"), "--grid",
+    assert run_cli(["grid", "--model", str(model_path), "--grid",
                     "0:1:6,0:1:5", "--out-dir", str(grid_out)]) == 0
     assert len((grid_out / "grid.csv").read_text().splitlines()) == 1 + 30
     header = (grid_out / "mean.pgm").read_bytes().split(b"\n", 2)
     assert header[0] == b"P5" and header[1] == b"5 6"
     assert (grid_out / "variance.pgm").exists()
     # axis count must match the model dimension
-    assert run_cli(["grid", "--model", str(out / "model.json"), "--grid",
+    assert run_cli(["grid", "--model", str(model_path), "--grid",
                     "0:1:6", "--out-dir", str(grid_out)]) == 1
 
 
@@ -338,10 +425,12 @@ def test_benchmark_overflowing_noise_is_one_error_line(name, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["fit", "--split", "nan"],
     ["fit", "--split", "0.999"],
+    ["fit", "--val-frac", "0.999"],
     ["benchmark", "chirp", "--n", "60", "--split", "nan"],
     ["benchmark", "chirp", "--n", "60", "--split", "0.999"],
     ["benchmark", "chirp", "--n", "60", "--runs", "0"],
-], ids=["fit-nan", "fit-0.999", "benchmark-nan", "benchmark-0.999", "benchmark-runs-0"])
+], ids=["fit-nan", "fit-0.999", "fit-val-frac-0.999", "benchmark-nan", "benchmark-0.999",
+        "benchmark-runs-0"])
 def test_a_bad_split_or_run_count_is_refused_before_the_progress_line(
         argv, sine_csv, tmp_path, capsys):
     # each used to log "fit: 60 rows ..." or "benchmark chirp: ..." first
@@ -354,14 +443,19 @@ def test_a_bad_split_or_run_count_is_refused_before_the_progress_line(
 
 def test_huge_size_requests_are_one_line_without_float_overflow(
         monkeypatch, sine_csv, tmp_path, capsys):
-    # a count of 10**400 used to end the size guard in an OverflowError
+    # a count of 10**400 used to end the size guard in an OverflowError,
+    # and a 2-d grid of two 2,201-digit counts, whose product passes the
+    # 4,300 digits str() takes, in Python's integer-conversion error
     model_path = fitted_model(sine_csv, tmp_path)
+    (tmp_path / "planar").mkdir()
+    planar_path = field_model(tmp_path / "planar")
     capsys.readouterr()
     huge = "1" + "0" * 400
-    for argv in (["grid", "--grid", f"0:1:{huge}"],
-                 ["kernel-dump", "--anchors", "0.5", "--count", huge]):
-        assert run_cli([*argv, "--model", str(model_path),
-                        "--out-dir", str(tmp_path / "big")]) == 1
+    wide = "1" + "0" * 2200
+    for argv in (["grid", "--model", model_path, "--grid", f"0:1:{huge}"],
+                 ["kernel-dump", "--model", model_path, "--anchors", "0.5", "--count", huge],
+                 ["grid", "--model", planar_path, "--grid", f"0:1:{wide},0:1:{wide}"]):
+        assert run_cli([*map(str, argv), "--out-dir", str(tmp_path / "big")]) == 1
         assert_one_error_line(capsys, "physical memory")
 
 

@@ -199,7 +199,7 @@ def test_matrix_csv_round_trip(tmp_path):
 
 def test_predictions_csv_layout(tmp_path):
     path = tmp_path / "p.csv"
-    write_predictions_csv(path, np.array([[1.0, 2.0]]), [0.5], [0.25],
+    write_predictions_csv(path, [(np.array([[1.0, 2.0]]), [0.5], [0.25])],
                           ["a", "b"])
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b,mean,variance"
@@ -218,7 +218,7 @@ def per_cell_table(path, header, rows):
 def test_table_writers_match_the_per_cell_reference(tmp_path):
     # two full chunks and a ragged third, awkward magnitudes, signed zero
     # and column names that csv.writer has to quote
-    n = 2 * data.WRITE_CHUNK_ROWS + 5
+    n = 2 * data.CHUNK_ROWS + 5
     rng = np.random.default_rng(6)
     x = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
     x[0] = [-0.0, 5e-324]
@@ -231,7 +231,11 @@ def test_table_writers_match_the_per_cell_reference(tmp_path):
     assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "data_ref.csv").read_bytes()
     var = np.abs(y)
     var[2] = np.inf
-    write_predictions_csv(tmp_path / "pred.csv", x, y, var, names)
+    # blocks of one write chunk and a ragged rest, as predict streams them
+    cut = data.CHUNK_ROWS
+    write_predictions_csv(tmp_path / "pred.csv",
+                          [(x[:cut], y[:cut], var[:cut]), (x[cut:], y[cut:], var[cut:])],
+                          names)
     per_cell_table(tmp_path / "pred_ref.csv", names + ["mean", "variance"],
                    np.column_stack([x, y, var]))
     assert (tmp_path / "pred.csv").read_bytes() == (tmp_path / "pred_ref.csv").read_bytes()

@@ -302,6 +302,12 @@ def test_chunked_predict_matches_one_whole_block_pass(mode):
     sq = [np.sum(w * w, axis=0) for w in
           (dtrmm(1.0, rinv, phi[lo:lo + rows].T, lower=1) for lo in range(0, n_star, rows))]
     np.testing.assert_array_equal(var, state.hyper.sigma_n2 * (1.0 + np.concatenate(sq)))
+    # blocks of whole chunks through one workspace, as predict streams a
+    # file, give the same bits
+    work = model.PredictWorkspace(state)
+    blocks = [predict(state, x_star[lo:lo + 2 * rows], work) for lo in range(0, n_star, 2 * rows)]
+    np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), mean)
+    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), var)
 
 
 def test_predict_peak_memory_is_a_chunk_not_the_whole_feature_block():
