@@ -61,8 +61,11 @@ def _check_memory(nbytes, what):
 
 
 def _check_fit_memory(n, m, what):
-    """Size guard for training m frequencies on n rows: four n x 2m step
-    buffers, then fit_state's 2m x 2m system and factor."""
+    """Size guard for training m frequencies on n rows. It counts one
+    step's four n x 2m arrays (two cos/sin pairs, phi and the outer
+    product) plus fit_state's 2m x 2m system and factor. A fit holds the
+    larger of the step, which adds two k x k arrays with k = min(n, 2m),
+    and fit_state, so this sum is the conservative bound."""
     _check_memory(16 * m * (4 * n + 4 * m), what)
 
 
@@ -119,11 +122,22 @@ def _load_dataset(args):
     return load_csv(args.data, cols, out)
 
 
+def _flag_number(kind, text, flag, token):
+    """``kind(text)`` for one field of a flag's value, refused by the flag
+    and the field rather than by Python's conversion message."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise InvalidSpec(f"{flag} {token!r}: {text.strip()!r} is not {noun}") from None
+
+
 def _parse_named_measure(token, dim):
     from . import measures
 
     name, _, rest = token.partition(":")
-    values = [float(v) for v in rest.split(",") if v.strip()] if rest else []
+    values = [_flag_number(float, v, "--spec", token)
+              for v in rest.split(",") if v.strip()] if rest else []
 
     def per_dim(vals, default):
         if not vals:
@@ -277,9 +291,9 @@ def _parse_grid(token):
         bits = part.split(":")
         if len(bits) != 3:
             raise InvalidSpec(f"grid axis {part!r} is not min:max:count")
-        mins.append(float(bits[0]))
-        maxs.append(float(bits[1]))
-        counts.append(int(bits[2]))
+        mins.append(_flag_number(float, bits[0], "--grid", token))
+        maxs.append(_flag_number(float, bits[1], "--grid", token))
+        counts.append(_flag_number(int, bits[2], "--grid", token))
     return GridSpec(tuple(mins), tuple(maxs), tuple(counts))
 
 

@@ -32,12 +32,15 @@ with R_A^-1 formed once per PredictWorkspace, so each row chunk's
 conditioning on the induced kernel to rounding. A dense O(n^3) path is
 kept alongside as the oracle for tests. Besides the features, a
 training step holds no matrix larger than min(n, 2m)^2; only fit_state
-and predict hold the 2m x 2m R_A. predict owns one chunk's buffers for
-the whole call, or for every call given the same PredictWorkspace, and
-reduced_core writes into the trainer's when given them; no other array
-returned here aliases a buffer.
+and predict hold the 2m x 2m R_A. fit_state forms b and A, then drops
+phi before it factors, so it holds A and R_A; save_model writes R_A's
+base64 from row blocks, with no whole copy of it as text. predict owns
+one chunk's buffers for the whole call, or for every call given the
+same PredictWorkspace, and reduced_core writes into the trainer's when
+given them; no other array returned here aliases a buffer.
 """
 
+import base64
 import json
 from dataclasses import dataclass
 
@@ -69,6 +72,11 @@ DIRECT_SIGMA_N2_MIN = 1e-12
 # single whole-block call.
 PREDICT_CHUNK_BYTES = 600 * 2 ** 10
 PREDICT_CHUNK_ALIGN = 256
+
+# save_model writes r's base64 from row blocks of about this many bytes,
+# where the marker stands in the rest of the document
+SAVE_BLOCK_BYTES = 96 * 2 ** 10
+_R_DATA = "<r data>"
 
 # Largest magnitude of a log-variance: exp() overflows double precision
 # just above 709, and its variance would be zero or infinite beyond here.
@@ -168,9 +176,13 @@ def fit_state(phi, y, hyper, bank, standardization=None, input_columns=None):
     """Factor A = phi' phi + r I itself, whatever n is, and package
     everything needed to predict: predict and model.json use its factor."""
     y = _targets(phi, y)
-    mat = phi.phi
-    r, jitter = _factor_gram(mat, ridge_term(phi, hyper))
-    alpha2 = linalg.solve_factored(r, mat.T @ y)
+    ridge = ridge_term(phi, hyper)
+    b = phi.phi.T @ y
+    a = linalg.gram(phi.phi)
+    del phi   # freed here when the caller keeps no name for it
+    a[np.diag_indices_from(a)] += ridge
+    r, jitter = linalg.cholesky(a)
+    alpha2 = linalg.solve_factored(r, b)
     return FitState(r, alpha2, hyper, bank, jitter, standardization, input_columns)
 
 
@@ -278,12 +290,18 @@ def predict(state, x_star, work=None):
 
 
 def save_model(path, state):
+    """Write the bytes of json.dump(doc, fh, sort_keys=True) plus a
+    newline, with r's base64 streamed from row blocks: each but the last
+    is a whole number of 3-row groups, 48m bytes and so a multiple of 3,
+    so their encodings join into the encoding of all of r, and no copy of
+    r as bytes, base64 or a quoted string is made."""
+    r = state.r
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "bank": bank_to_json_dict(state.bank),
         "hyperparams": {"log_sigma_f2": state.hyper.log_sigma_f2,
                         "log_sigma_n2": state.hyper.log_sigma_n2},
-        "fit": {"r": _encode_array(state.r),
+        "fit": {"r": {"shape": list(r.shape), "data": _R_DATA},
                 "alpha2": _encode_array(state.alpha2),
                 "jitter": state.jitter},
         "standardization": None,
@@ -297,9 +315,17 @@ def save_model(path, state):
             "output_mean": st.output_mean,
             "output_std": st.output_std,
         }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    # the bank sorts before fit and holds only base64 and fixed keys, so
+    # the first marker is r's; a column name comes later
+    head, _, tail = json.dumps(doc, sort_keys=True).partition(_R_DATA)
+    rows = 3 * max(1, SAVE_BLOCK_BYTES // (24 * r.shape[1]))
+    with open(path, "wb") as fh:
+        fh.write(head.encode("ascii"))
+        for lo in range(0, r.shape[0], rows):
+            block = np.ascontiguousarray(r[lo:lo + rows], dtype="<f8")
+            fh.write(base64.b64encode(block))
+        fh.write(tail.encode("ascii"))
+        fh.write(b"\n")
 
 
 def _shaped(a, name, shape):

@@ -25,9 +25,10 @@ The model core factors the smaller Gram system C = R R' of order
 k = min(n, 2m): A when n >= 2m, else B = phi phi' + r I. With
 e = 2m - k, tr(G) = tr(C^-1) + e / r and phi G = C^-1 phi when C = B
 (the model module's docstring says why). C^-1 is formed once per step
-with level-3 kernels, never by triangular solves against phi: one
-triangular solve against an identity it overwrites gives R^-1, LAPACK
-dlauum turns it in place into R^-T R^-1 = C^-1 (lower triangle),
+with level-3 kernels, never by triangular solves against phi, over C
+itself, which is spent once factored: one triangular solve against an
+identity written over C gives R^-1 in place, LAPACK dlauum turns it in
+place into R^-T R^-1 = C^-1 (lower triangle),
 tr(C^-1) is read off its diagonal, and one BLAS dsymm adds -phi G onto
 the outer-product term of phibar. Each step is O(n 2m min(n, 2m)).
 LAPACK dpotri would form C^-1 in one call, but the solve is kept
@@ -37,9 +38,11 @@ benchmark first.
 
 train owns one StepWorkspace for all its steps, so no step allocates a
 large array or faults freed pages back in: lml_gradient writes into it
-the trig pairs, phi, C, its factor, the identity that becomes C^-1 and
-the outer product that becomes phibar. Nothing returned aliases it, and
-train drops it before fit_state, so the fit's peak memory does not grow.
+the trig pairs, phi, C (then the identity that becomes C^-1), its
+factor and the outer product that becomes phibar, so a step holds two
+k x k arrays. Nothing returned aliases it, and train drops it before
+fit_state and keeps no name for the features it passes there, so a
+fit's peak is the larger of one step and fit_state's A and its factor.
 
 Gaussian dropout multiplies each frequency entry by an independent
 N(1, sigma_p^2) draw, fresh at every step; the noisy bank is used for
@@ -206,7 +209,6 @@ class StepWorkspace(FeatureBuffers):
         k = min(n, 2 * m)
         self.gram = np.empty((k, k))
         self.chol = np.empty((k, k), order="F")
-        self.eye = np.empty((k, k), order="F")
         self.outer = np.empty((n, 2 * m))
 
 
@@ -234,10 +236,13 @@ def lml_gradient(x, y, bank, hyper, mode, work=None):
     core = model.reduced_core(phi, y, hyper, work)
     chol, alpha2 = core["chol"], core["alpha2"]
     k = chol.shape[0]
-    # the identity is Fortran-ordered, so the solve overwrites it in place
-    work.eye.fill(0.0)
-    np.fill_diagonal(work.eye, 1.0)
-    rinv = solve_triangular(chol, work.eye, lower=True,
+    # C is spent once factored (only cholesky's jitter retries read it), so
+    # the identity is written over it; the Gram buffer's transpose is
+    # Fortran-ordered, so the solve overwrites it in place
+    eye = work.gram.T
+    eye.fill(0.0)
+    np.fill_diagonal(eye, 1.0)
+    rinv = solve_triangular(chol, eye, lower=True,
                             check_finite=False, overwrite_b=True)
     # rinv is Fortran-ordered, so dlauum overwrites it with the lower
     # triangle of C^-1; its upper triangle stays zero and dsymm never reads it
@@ -489,7 +494,8 @@ def train(dataset, config, spec_init=None):
     hyper_best = model.Hyperparams(float(chosen["log_sigma_f2"]),
                                    float(chosen["log_sigma_n2"]))
     bank_best = _bank_from_params(chosen, bank0, config.mode)
-    phi_full = features_for_mode(dataset.x, bank_best)
-    state = model.fit_state(phi_full, dataset.y, hyper_best, bank_best,
+    # no name keeps the features, so fit_state can free them before it factors
+    state = model.fit_state(features_for_mode(dataset.x, bank_best), dataset.y,
+                            hyper_best, bank_best,
                             input_columns=list(dataset.input_columns))
     return state, trace

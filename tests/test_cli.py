@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spectral_rff import cli, data, measures, model
+from spectral_rff import cli, data, measures, model, training
 from spectral_rff.errors import InvalidSpec
 from spectral_rff.linalg import seeded_rng, spawn_rngs
 from spectral_rff.model import load_model
@@ -278,6 +278,55 @@ def test_predict_memory_is_flat_in_the_query_rows(sine_csv, tmp_path):
     peak(10_000)                    # first-use caches
     small, large = peak(10_000), peak(100_000)
     assert large <= small + 16 * 2 ** 10, (small, large)
+
+
+def test_a_fits_memory_peak_is_one_steps_workspace(sine_csv, tmp_path):
+    # the chirp benchmark's shape, 600 rows and 300 pairs with 378
+    # gradient rows (n < 2m): the traced peak of a whole fit command is
+    # set by one step's workspace or fit_state's A and its factor, not by
+    # the features fit_state factors or by writing model.json, which
+    # together took it to 1.5 times the workspace
+    m = 300
+    rng = seeded_rng(15)
+    t = np.sort(rng.uniform(0.0, 1.0, 600)).reshape(-1, 1)
+    y = np.sin(40.0 * t[:, 0] ** 2) + 0.1 * rng.standard_normal(600)
+    csv_path = tmp_path / "chirp.csv"
+    data.save_dataset_csv(csv_path, data.Dataset(t, y, ["t"], "y"))
+    argv = ["fit", "--data", str(csv_path), "--mode", "nonstationary",
+            "--m", str(m), "--max-steps", "2", "--seed", "1",
+            "--out-dir", str(tmp_path / "fit")]
+    assert run_cli(fit_args(sine_csv, tmp_path / "warm")) == 0   # first-use caches
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_fit = data.split_rows(600, 0.7)
+    n_step = n_fit - data.validation_rows(n_fit, 0.1)
+    work = training.StepWorkspace(n_step, m)
+    workspace = sum(a.nbytes for a in (*work.pairs, work.phi, work.gram,
+                                       work.chol, work.outer))
+    bound = 1.2 * max(workspace, 16 * (2 * m) ** 2)
+    assert peak <= bound, (peak, workspace, bound)
+
+
+@pytest.mark.parametrize("command,words", [
+    (["grid", "--grid", "0:1:abc"], ["--grid", "'abc'"]),
+    (["grid", "--grid", "0:1:3.5"], ["--grid", "'3.5'"]),
+    (["spectrum", "--spec", "se:abc"], ["--spec", "'abc'"]),
+    (["fit", "--spec", "se:abc"], ["--spec", "'abc'"]),
+], ids=["grid-word", "grid-fraction", "spectrum-spec", "fit-spec"])
+def test_unreadable_numbers_in_a_flag_name_the_flag(sine_csv, tmp_path, capsys,
+                                                    command, words):
+    # each printed Python's own int() or float() message, naming no flag
+    extra = {"grid": ["--model", str(fitted_model(sine_csv, tmp_path))],
+             "fit": ["--data", sine_csv], "spectrum": []}[command[0]]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli([*command, *extra, "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, *words)
+    assert not out.exists()
 
 
 def test_grid_one_dimensional(sine_csv, tmp_path):

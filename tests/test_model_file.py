@@ -5,20 +5,23 @@ into exit code 1 and a one-line message, before any output is written.
 """
 
 import copy
+import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_rff import cli, data
+from spectral_rff import cli, data, model
 from spectral_rff.errors import SchemaMismatch
 from spectral_rff.features import features_for_mode
 from spectral_rff.linalg import seeded_rng
-from spectral_rff.measures import FrequencyBank, _decode_array, _encode_array
+from spectral_rff.measures import (FrequencyBank, _decode_array, _encode_array,
+                                   bank_to_json_dict)
 from spectral_rff.model import Hyperparams, fit_state, load_model, save_model
 
 
@@ -115,6 +118,75 @@ def test_load_model_accepts_the_file_save_model_writes(tmp_path):
     state = load_model(path)
     assert state.input_columns == ["x1", "x2"]
     assert state.r.shape == (8, 8) and state.alpha2.shape == (8,)
+
+
+def one_shot_bytes(state):
+    """The reference: the whole document as one json.dump, r included."""
+    st = state.standardization
+    doc = {
+        "format_version": model.MODEL_FORMAT_VERSION,
+        "bank": bank_to_json_dict(state.bank),
+        "hyperparams": {"log_sigma_f2": state.hyper.log_sigma_f2,
+                        "log_sigma_n2": state.hyper.log_sigma_n2},
+        "fit": {"r": _encode_array(state.r), "alpha2": _encode_array(state.alpha2),
+                "jitter": state.jitter},
+        "standardization": None if st is None else {
+            "input_mean": list(map(float, st.input_mean)),
+            "input_std": list(map(float, st.input_std)),
+            "output_mean": st.output_mean, "output_std": st.output_std},
+        "input_columns": state.input_columns,
+    }
+    fh = io.StringIO()
+    json.dump(doc, fh, sort_keys=True)
+    fh.write("\n")
+    return fh.getvalue().encode("utf-8")
+
+
+def factor_state(m, stationary, order, seed=15):
+    rng = seeded_rng(seed)
+    omega = [rng.standard_normal((m, 2)) for _ in range(2)]
+    bank = (FrequencyBank(omega[0], stationary=True) if stationary
+            else FrequencyBank(*omega, stationary=False))
+    r = np.tril(rng.standard_normal((2 * m, 2 * m)))
+    np.fill_diagonal(r, 1.0 + np.abs(np.diagonal(r)))
+    stats = data.StandardizationStats(np.array([0.1, -0.2]), np.array([1.5, 0.5]), 0.3, 2.0)
+    # a column named like the marker r's data replaces must not draw r
+    return model.FitState(np.asarray(r, order=order), rng.standard_normal(2 * m),
+                          Hyperparams(0.25, -1.5), bank, 1e-10,
+                          stats if stationary else None, ["x1", model._R_DATA])
+
+
+@pytest.mark.parametrize("block_bytes", [1, model.SAVE_BLOCK_BYTES],
+                         ids=["3-row-blocks", "default-blocks"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "nonstationary"])
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+def test_save_model_streams_the_bytes_of_one_json_dump(monkeypatch, tmp_path, m,
+                                                       stationary, order, block_bytes):
+    monkeypatch.setattr(model, "SAVE_BLOCK_BYTES", block_bytes)
+    state = factor_state(m, stationary, order)
+    path = tmp_path / "model.json"
+    save_model(path, state)
+    assert path.read_bytes() == one_shot_bytes(state)
+    back = load_model(path)
+    np.testing.assert_array_equal(back.r, state.r)
+    np.testing.assert_array_equal(back.alpha2, state.alpha2)
+
+
+def test_save_model_holds_no_whole_copy_of_r(tmp_path):
+    # the one-piece encoding peaked at about 4 times r's bytes: r as
+    # bytes, as base64 bytes, as a str and as a quoted JSON string
+    state = factor_state(300, False, "F")
+    path = tmp_path / "model.json"
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        save_model(path, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - live < state.r.nbytes / 4, (peak - live, state.r.nbytes)
+    assert path.read_bytes() == one_shot_bytes(state)   # many blocks, a ragged last one
 
 
 def predict_with_model_doc(tmp_path, capsys, doc):

@@ -178,7 +178,7 @@ def test_gradient_core_matches_the_two_solve_reference(mode, regime):
 # --- the step workspace -----------------------------------------------------
 
 def workspace_arrays(work):
-    return [*work.pairs, work.phi, work.gram, work.chol, work.eye, work.outer]
+    return [*work.pairs, work.phi, work.gram, work.chol, work.outer]
 
 
 def workspace_instance(mode, n, m, seed=83, d=2):
@@ -218,9 +218,12 @@ def test_the_step_overwrites_its_identity_and_outer_product_in_place(n, m):
     work = training.StepWorkspace(n, m)
     _, grads, _ = lml_gradient(x, y, bank, hyper, mode, work)
     chol = work.chol
-    np.testing.assert_allclose(np.tril(work.eye), np.tril(np.linalg.inv(chol @ chol.T)),
-                               rtol=1e-8, atol=1e-8 * np.max(np.abs(work.eye)))
-    assert not np.any(np.triu(work.eye, 1))
+    # the identity is written over the spent Gram system, through its
+    # Fortran-ordered transpose
+    eye = work.gram.T
+    np.testing.assert_allclose(np.tril(eye), np.tril(np.linalg.inv(chol @ chol.T)),
+                               rtol=1e-8, atol=1e-8 * np.max(np.abs(eye)))
+    assert not np.any(np.triu(eye, 1))
     # the outer-product buffer holds phibar: the chain rule gives the
     # returned gradients from it bit for bit
     cbar, sbar = work.outer[:, :m], work.outer[:, m:]
