@@ -321,14 +321,12 @@ def cmd_grid(args):
 
 
 def _parse_anchors(token):
-    points = []
-    for part in token.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        points.append([float(v) for v in part.split(",")])
+    points = [[_flag_number(float, v, "--anchors", token) for v in part.split(",")]
+              for part in token.split(";") if part.strip()]
     if not points:
         raise InvalidSpec("no anchor points given")
+    if not all(math.isfinite(v) for p in points for v in p):
+        raise InvalidSpec(f"--anchors {token!r}: coordinates must be finite")
     width = len(points[0])
     if any(len(p) != width for p in points):
         raise InvalidSpec("anchor points disagree in dimension")

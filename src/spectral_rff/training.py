@@ -44,6 +44,13 @@ k x k arrays. Nothing returned aliases it, and train drops it before
 fit_state and keeps no name for the features it passes there, so a
 fit's peak is the larger of one step and fit_state's A and its factor.
 
+train holds the parameters as one vector theta = [log sigma_f^2,
+log sigma_n^2, the trained frequency sets raveled in ``trained`` order]
+and ADAM's two moments as one (2, len theta) array, with Kingma and
+Ba's constants ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8.
+Each step makes a new theta, so the banks that view it and the
+best-step snapshot (theta itself) are never written after it.
+
 Gaussian dropout multiplies each frequency entry by an independent
 N(1, sigma_p^2) draw, fresh at every step; the noisy bank is used for
 the forward value and the gradient, the clean bank receives the update,
@@ -82,15 +89,13 @@ MODES = {
     STATIONARY_LEARNED: Mode("stationary", ("omega",)),
     NONSTATIONARY_LEARNED: Mode("nonstationary", ("omega1", "omega2")),
 }
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class TrainConfig:
     mode: str = NONSTATIONARY_LEARNED
     m: int = 100
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_steps: int = 500
     patience: int = 5
     eval_every: int = 10
@@ -105,10 +110,6 @@ class TrainConfig:
             raise ValueError("m must be at least 1")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ValueError("adam betas must lie in [0, 1)")
-        if not 0 < self.adam_eps < math.inf:
-            raise ValueError("adam_eps must be positive and finite")
         if self.max_steps < 1 or self.patience < 1 or self.eval_every < 1:
             raise ValueError("max_steps, patience and eval_every must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
@@ -161,15 +162,14 @@ def apply_gaussian_dropout(bank, sigma_p, rng):
 
     sigma_p = 0 returns the input bank unchanged (bitwise). A stationary
     bank stays stationary: its single frequency set gets a single draw.
+    A huge sigma_p overflows to inf, which FrequencyBank refuses.
     """
     if sigma_p == 0.0:
         return bank
-    noise1 = 1.0 + sigma_p * rng.standard_normal(bank.omega1.shape)
-    if bank.stationary:
-        return FrequencyBank(bank.omega1 * noise1, stationary=True)
-    noise2 = 1.0 + sigma_p * rng.standard_normal(bank.omega2.shape)
-    return FrequencyBank(bank.omega1 * noise1, bank.omega2 * noise2,
-                         stationary=False)
+    with np.errstate(all="ignore"):
+        omegas = [w * (1.0 + sigma_p * rng.standard_normal(w.shape))
+                  for w in (bank.omega1, bank.omega2)[:bank.banks]]
+    return FrequencyBank(*omegas, stationary=bank.stationary)
 
 
 def median_heuristic_lengthscales(x, max_rows=1000):
@@ -319,36 +319,22 @@ class _FixedBankObjective:
                                        float(np.sum(b2 / (d * d))),
                                        float(np.sum(1.0 / d)), self.m, self.n)
 
-    def value(self, hyper):
-        return self.value_and_grads(hyper)[0]
 
+def adam_step(theta, loss_grad, moments, t, learning_rate):
+    """Step t (from 1) of bias-corrected ADAM descent on a loss gradient.
 
-@dataclass
-class AdamState:
-    t: int
-    m1: dict
-    m2: dict
-
-
-def adam_init(params):
-    return AdamState(0,
-                     {k: np.zeros_like(np.asarray(v, dtype=float)) for k, v in params.items()},
-                     {k: np.zeros_like(np.asarray(v, dtype=float)) for k, v in params.items()})
-
-
-def adam_step(params, loss_grads, state, config):
-    """One bias-corrected ADAM descent step on the given loss gradients."""
-    t = state.t + 1
-    c1 = 1.0 - config.adam_beta1 ** t
-    c2 = 1.0 - config.adam_beta2 ** t
-    new_params, m1, m2 = {}, {}, {}
-    for key, p in params.items():
-        g = np.asarray(loss_grads[key], dtype=float)
-        m1[key] = config.adam_beta1 * state.m1[key] + (1.0 - config.adam_beta1) * g
-        m2[key] = config.adam_beta2 * state.m2[key] + (1.0 - config.adam_beta2) * (g * g)
-        step = config.learning_rate * (m1[key] / c1) / (np.sqrt(m2[key] / c2) + config.adam_eps)
-        new_params[key] = np.asarray(p, dtype=float) - step
-    return new_params, AdamState(t, m1, m2)
+    ``moments`` is the (2, len theta) array of first and second moments,
+    updated in place; returns the new theta. A huge step overflows to
+    inf, which train's checks refuse.
+    """
+    m1, m2 = moments
+    with np.errstate(all="ignore"):
+        m1 *= ADAM_BETA1
+        m1 += (1.0 - ADAM_BETA1) * loss_grad
+        m2 *= ADAM_BETA2
+        m2 += (1.0 - ADAM_BETA2) * (loss_grad * loss_grad)
+        step = learning_rate * (m1 / (1.0 - ADAM_BETA1 ** t))
+        return theta - step / (np.sqrt(m2 / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
 
 
 def _initial_bank(spec_init, x, config, rng):
@@ -370,24 +356,23 @@ def _initial_bank(spec_init, x, config, rng):
     return sample_stationary(spec, config.m, d, rng)
 
 
-def _bank_from_params(params, template, mode):
-    keys = MODES[mode].trained
-    if not keys:
-        return template
-    return FrequencyBank(*(np.array(params[k]) for k in keys),
-                         stationary=len(keys) == 1)
+def _unpack(theta, bank0, banks, trace):
+    """Check theta's log-variances; return its (Hyperparams, FrequencyBank).
 
-
-def _check_hyper_params(params, trace):
-    for key in ("log_sigma_f2", "log_sigma_n2"):
-        v = float(params[key])
-        if not math.isfinite(v) or abs(v) > model.LOG_VARIANCE_BOUND:
-            raise NonFiniteLoss(f"{key} diverged to {v}", trace)
+    The bank's ``banks`` frequency sets are views of theta; with none
+    trained it is bank0."""
+    u, v = float(theta[0]), float(theta[1])
+    for key, value in (("log_sigma_f2", u), ("log_sigma_n2", v)):
+        if not math.isfinite(value) or abs(value) > model.LOG_VARIANCE_BOUND:
+            raise NonFiniteLoss(f"{key} diverged to {value}", trace)
     # the ridge is exp(v - u) up to the feature count; its exponent must
     # stay representable too, or the factorization sees inf
-    gap = float(params["log_sigma_n2"]) - float(params["log_sigma_f2"])
-    if abs(gap) > model.LOG_VARIANCE_BOUND:
-        raise NonFiniteLoss(f"noise-to-signal log ratio diverged to {gap}", trace)
+    if abs(v - u) > model.LOG_VARIANCE_BOUND:
+        raise NonFiniteLoss(f"noise-to-signal log ratio diverged to {v - u}", trace)
+    if not banks:
+        return model.Hyperparams(u, v), bank0
+    omegas = theta[2:].reshape(banks, *bank0.omega1.shape)
+    return model.Hyperparams(u, v), FrequencyBank(*omegas, stationary=banks == 1)
 
 
 def train(dataset, config, spec_init=None):
@@ -396,9 +381,10 @@ def train(dataset, config, spec_init=None):
     A validation fraction of the rows is held out for early stopping on
     the validation negative log marginal likelihood, scored every
     ``eval_every`` steps with dropout disabled. The returned FitState is
-    rebuilt from the best-scoring (not the last) parameters over all
-    rows of ``dataset``; the trace records per-step objective values,
-    wall time, validation history, jitter events and the stop reason.
+    rebuilt from the best-scoring parameters (the last, checked, when no
+    round scored) over all rows of ``dataset``; the trace records per-step
+    objective values, wall time, validation history, jitter events and
+    the stop reason.
 
     Deterministic given (dataset, config, spec_init).
     """
@@ -418,13 +404,13 @@ def train(dataset, config, spec_init=None):
         var_y = 1.0
     hyper = model.Hyperparams.from_variances(var_y, 0.1 * var_y)
 
-    params = {"log_sigma_f2": hyper.log_sigma_f2,
-              "log_sigma_n2": hyper.log_sigma_n2}
-    for key, omega in zip(MODES[config.mode].trained, (bank0.omega1, bank0.omega2)):
-        params[key] = omega.copy()
-    adam_state = adam_init(params)
+    keys = ("log_sigma_f2", "log_sigma_n2", *MODES[config.mode].trained)
+    banks = len(keys) - 2
+    theta = np.concatenate([[hyper.log_sigma_f2, hyper.log_sigma_n2],
+                            *(np.ravel(w) for w in (bank0.omega1, bank0.omega2)[:banks])])
+    moments = np.zeros((2, theta.size))
 
-    fixed_fast = not MODES[config.mode].trained and config.dropout_sigma_p == 0.0
+    fixed_fast = not banks and config.dropout_sigma_p == 0.0
     if fixed_fast:
         train_obj = _FixedBankObjective(x_tr, y_tr, bank0)
         val_obj = _FixedBankObjective(x_val, y_val, bank0)
@@ -433,16 +419,13 @@ def train(dataset, config, spec_init=None):
 
     trace = TrainTrace()
     stopper = EarlyStopper(config.patience)
-    best_params = None
+    best = None
     log_floor = math.log(model.SIGMA_N2_FLOOR)
     trace.stop_reason = "max_steps"
 
     for step in range(1, config.max_steps + 1):
         t0 = time.perf_counter()
-        _check_hyper_params(params, trace)
-        hyper = model.Hyperparams(float(params["log_sigma_f2"]),
-                                  float(params["log_sigma_n2"]))
-        bank = _bank_from_params(params, bank0, config.mode)
+        hyper, bank = _unpack(theta, bank0, banks, trace)
         if fixed_fast:
             value, lml_grads = train_obj.value_and_grads(hyper)
             jitter = 0.0
@@ -456,23 +439,19 @@ def train(dataset, config, spec_init=None):
         try:
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"objective became non-finite at step {step}", trace)
-            if any(not np.all(np.isfinite(g)) for g in lml_grads.values()):
+            loss_grad = -np.concatenate([np.ravel(lml_grads[k]) for k in keys])
+            if not np.all(np.isfinite(loss_grad)):
                 raise NonFiniteLoss(f"gradient became non-finite at step {step}", trace)
             if jitter > 0.0:
                 trace.jitter_events.append((step, jitter))
 
-            loss_grads = {k: -np.asarray(g, dtype=float) for k, g in lml_grads.items()}
-            params, adam_state = adam_step(params, loss_grads, adam_state, config)
-            params["log_sigma_f2"] = float(params["log_sigma_f2"])
-            params["log_sigma_n2"] = max(float(params["log_sigma_n2"]), log_floor)
+            theta = adam_step(theta, loss_grad, moments, step, config.learning_rate)
+            theta[1] = max(theta[1], log_floor)
 
             if step % config.eval_every == 0:
-                _check_hyper_params(params, trace)
-                hyper_now = model.Hyperparams(float(params["log_sigma_f2"]),
-                                              float(params["log_sigma_n2"]))
-                bank_now = _bank_from_params(params, bank0, config.mode)
+                hyper_now, bank_now = _unpack(theta, bank0, banks, trace)
                 if fixed_fast:
-                    val_lml = val_obj.value(hyper_now)
+                    val_lml = val_obj.value_and_grads(hyper_now)[0]
                 else:
                     phi_val = features_for_mode(x_val, bank_now)
                     val_lml = model.log_marginal_likelihood_reduced(phi_val, y_val, hyper_now)
@@ -480,8 +459,7 @@ def train(dataset, config, spec_init=None):
                     raise NonFiniteLoss(f"validation objective non-finite at step {step}", trace)
                 trace.val_history.append((step, -val_lml))
                 if stopper.update(-val_lml):
-                    best_params = {k: np.array(v) if isinstance(v, np.ndarray) else v
-                                   for k, v in params.items()}
+                    best = theta
                 if stopper.should_stop:
                     trace.stop_reason = "patience"
                     break
@@ -490,10 +468,7 @@ def train(dataset, config, spec_init=None):
             trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
 
     work = None   # freed before fit_state builds its 2m x 2m system
-    chosen = best_params if best_params is not None else params
-    hyper_best = model.Hyperparams(float(chosen["log_sigma_f2"]),
-                                   float(chosen["log_sigma_n2"]))
-    bank_best = _bank_from_params(chosen, bank0, config.mode)
+    hyper_best, bank_best = _unpack(theta if best is None else best, bank0, banks, trace)
     # no name keeps the features, so fit_state can free them before it factors
     state = model.fit_state(features_for_mode(dataset.x, bank_best), dataset.y,
                             hyper_best, bank_best,

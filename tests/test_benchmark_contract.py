@@ -186,3 +186,34 @@ def test_every_model_field_the_reference_predictor_reads_exists(loaded_state, ch
     for attr in chain.split("."):
         assert hasattr(node, attr), f"perfbench/run.py reads state.{chain}"
         node = getattr(node, attr)
+
+
+@pytest.mark.parametrize("mode", ["stationary_learned", "nonstationary_learned"])
+def test_train_calls_the_traced_step_functions_once_per_step(monkeypatch, tmp_path, mode):
+    # the tracer wraps training.adam_step and training.apply_gaussian_dropout
+    # by module attribute, so an inlined copy would leave its span resolving
+    # but counting no calls
+    from spectral_rff import data, training
+
+    calls = {"adam_step": 0, "apply_gaussian_dropout": 0}
+
+    def counting(name):
+        real = getattr(training, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(training, name, counting(name))
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.0, 1.0, (40, 1))
+    dataset, _ = data.standardize(data.Dataset(x, np.sin(3.0 * x[:, 0]), ["x"], "y"))
+    config = training.TrainConfig(mode=mode, m=4, learning_rate=0.05, max_steps=7,
+                                  eval_every=2, patience=10, dropout_sigma_p=0.05)
+    _, trace = training.train(dataset, config)
+    trace.to_csv(tmp_path / "trace.csv")
+    steps = len((tmp_path / "trace.csv").read_text().splitlines()) - 1
+    assert steps == 7
+    assert calls == {"adam_step": steps, "apply_gaussian_dropout": steps}

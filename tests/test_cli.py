@@ -316,12 +316,19 @@ def test_a_fits_memory_peak_is_one_steps_workspace(sine_csv, tmp_path):
     (["grid", "--grid", "0:1:3.5"], ["--grid", "'3.5'"]),
     (["spectrum", "--spec", "se:abc"], ["--spec", "'abc'"]),
     (["fit", "--spec", "se:abc"], ["--spec", "'abc'"]),
-], ids=["grid-word", "grid-fraction", "spectrum-spec", "fit-spec"])
+    (["kernel-dump", "--anchors", "0.2;abc"], ["--anchors", "'abc'"]),
+    (["kernel-dump", "--anchors", "nan"], ["--anchors", "finite"]),
+    (["kernel-dump", "--anchors", "0.2;1e400"], ["--anchors", "finite"]),
+], ids=["grid-word", "grid-fraction", "spectrum-spec", "fit-spec",
+        "anchors-word", "anchors-nan", "anchors-overflow"])
 def test_unreadable_numbers_in_a_flag_name_the_flag(sine_csv, tmp_path, capsys,
                                                     command, words):
-    # each printed Python's own int() or float() message, naming no flag
-    extra = {"grid": ["--model", str(fitted_model(sine_csv, tmp_path))],
-             "fit": ["--data", sine_csv], "spectrum": []}[command[0]]
+    # each printed Python's own int() or float() message, naming no flag;
+    # a nan or overflowing anchor was refused as a bad grid bound
+    if command[0] in ("grid", "kernel-dump"):
+        extra = ["--model", str(fitted_model(sine_csv, tmp_path))]
+    else:
+        extra = {"fit": ["--data", sine_csv], "spectrum": []}[command[0]]
     capsys.readouterr()
     out = tmp_path / "out"
     assert run_cli([*command, *extra, "--out-dir", str(out)]) == 1
@@ -469,6 +476,36 @@ def test_benchmark_overflowing_noise_is_one_error_line(name, tmp_path, capsys):
                         "--out-dir", str(out)]) == 1
     assert_one_error_line(capsys, "finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,code,words", [
+    (["fit", "--lr", "1000", "--max-steps", "1", "--eval-every", "10"], 2,
+     "numerical failure: log_sigma_f2 diverged"),
+    (["fit", "--lr", "1e308", "--max-steps", "3"], 2,
+     "numerical failure: log_sigma_f2 diverged"),
+    (["fit", "--sigma-p", "1e308", "--max-steps", "3"], 1,
+     "error: frequencies must be finite"),
+    (["benchmark", "chirp", "--runs", "1", "--n", "60", "--max-steps", "1",
+      "--sigma-p", "1e308"], 1, "error: frequencies must be finite"),
+], ids=["fit-diverged-last-step", "fit-huge-lr", "fit-huge-sigma-p",
+        "benchmark-huge-sigma-p"])
+def test_an_overflowing_fit_prints_one_line_after_its_progress_line(
+        sine_csv, tmp_path, capsys, argv, code, words):
+    # parameters that diverged at the last step reached fit_state unchecked,
+    # and a huge ADAM step or dropout draw overflowed; each printed numpy
+    # warnings before the error line
+    if argv[0] == "fit":
+        argv = [*argv, "--data", sine_csv]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([*argv, "--m", "4", "--out-dir", str(out)]) == code
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 2 and err[0].startswith(argv[0]) and " rows" in err[0], err
+    assert err[1].startswith(words), err
+    assert captured.out == ""
+    assert not (out / "model.json").exists() and not (out / "report.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [
