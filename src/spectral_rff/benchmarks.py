@@ -176,10 +176,10 @@ def _budget_note(configs, d):
     rows = {}
     for arm, cfg in configs.items():
         mode = MODES[cfg.mode]
-        rows[arm] = cfg.m * (len(mode.trained) or 1)
+        rows[arm] = cfg.m * (mode.trained or 1)
         parts.append(f"{arm}: mode={cfg.mode} m={cfg.m} "
                      f"frequency_rows={rows[arm]} "
-                     f"trainable_entries={cfg.m * d * len(mode.trained)}")
+                     f"trainable_entries={cfg.m * d * mode.trained}")
     lo, hi = min(rows.values()), max(rows.values())
     factor = hi / lo if lo else float("inf")
     return ("frequency budget -- " + "; ".join(parts)

@@ -214,10 +214,11 @@ def cmd_fit(args):
     return 0
 
 
-def _standardized(x, st, first_row=0):
+def _standardized(x, st, first_row=0, row="data row"):
     """Inputs in the model's standardized units; a finite row far outside
     the training range can overflow there, and is refused by its 1-based
-    row number, counted from ``first_row``, rather than predicted as nan."""
+    number, counted from ``first_row`` and named ``row``, rather than
+    predicted as nan."""
     import numpy as np
 
     from . import data
@@ -226,20 +227,20 @@ def _standardized(x, st, first_row=0):
         z = data.standardize_inputs(x, st)
     bad = ~np.isfinite(z).all(axis=1)
     if bad.any():
-        raise InvalidSpec(f"data row {first_row + int(np.argmax(bad)) + 1} is not "
+        raise InvalidSpec(f"{row} {first_row + int(np.argmax(bad)) + 1} is not "
                           f"finite after standardizing with the model's input statistics")
     return z
 
 
-def _predict_data_units(state, x, work=None, first_row=0):
+def _predict_data_units(state, x, work=None, first_row=0, row="data row"):
     """Predictive mean and variance at raw inputs, in the data's units;
-    ``x`` starts at data row ``first_row`` + 1."""
+    ``x`` starts at ``row`` ``first_row`` + 1."""
     from . import data, model
 
     st = state.standardization
     if st is None:
         return model.predict(state, x, work)
-    mean, var = model.predict(state, _standardized(x, st, first_row), work)
+    mean, var = model.predict(state, _standardized(x, st, first_row, row), work)
     return data.destandardize_predictions(mean, var, st)
 
 
@@ -309,7 +310,7 @@ def cmd_grid(args):
     # is named by its flag, as a count past 4,300 digits has no str()
     _check_memory(8 * math.prod(spec.counts) * (2 * spec.dim + 4), f"--grid {args.grid}")
     x = data.make_grid(spec)
-    mean, var = _predict_data_units(state, x)
+    mean, var = _predict_data_units(state, x, row=f"--grid {args.grid!r}: grid point")
     cols = state.input_columns or [f"x{i + 1}" for i in range(state.bank.dim)]
     _outdir(args)
     data.write_predictions_csv(_out(args, "grid.csv"), [(x, mean, var)], cols)
@@ -348,24 +349,31 @@ def cmd_kernel_dump(args):
                              f"got {len(anchors[0])}")
     if args.count < 2:
         raise InvalidSpec("count must be at least 2")
-    if not 0 < args.window < math.inf:
-        raise InvalidSpec("window must be positive and finite")
+    w = args.window
+    names = [",".join(map(repr, anchor)) for anchor in anchors]
+    for anchor, name in zip(anchors, names):
+        # a window that is not positive, rounds away (a - w == a + w) or
+        # overflows spans no finite grid around the anchor
+        if not all(a - w < a + w and math.isfinite((a + w) - (a - w)) for a in anchor):
+            raise InvalidSpec(f"--window {w!r} around anchor {name}: a - w and "
+                              f"a + w must differ and lie a finite span apart")
     # per anchor: grid, meshes, standardized copy, features and one (cos, sin) pair
     _check_memory(8 * args.count ** d * (4 * d + 4 * state.bank.m),
                   f"kernel-dump with --count {args.count}")
-    _outdir(args)
-    for idx, anchor in enumerate(anchors):
+    for idx, (anchor, name) in enumerate(zip(anchors, names)):
         a = np.asarray(anchor, dtype=float)
-        spec = GridSpec(a - args.window, a + args.window, (args.count,) * d)
+        spec = GridSpec(a - w, a + w, (args.count,) * d)
         grid = data.make_grid(spec)
         pts = np.vstack([a.reshape(1, -1), grid])
         if state.standardization is not None:
-            pts = _standardized(pts, state.standardization)
+            pts = _standardized(pts, state.standardization,
+                                row=f"--anchors {name} with --window {w!r}: point")
         phi = features_for_mode(pts, state.bank)
         phi_a = type(phi)(phi.phi[:1], phi.m, phi.banks)
         phi_g = type(phi)(phi.phi[1:], phi.m, phi.banks)
         field = kernel_cross(phi_a, phi_g, state.hyper.sigma_f2)[0]
         mat = field.reshape(spec.counts) if d > 1 else field.reshape(1, -1)
+        _outdir(args)
         data.write_matrix_csv(_out(args, f"kernel_anchor{idx}.csv"), mat)
         data.write_pgm(_out(args, f"kernel_anchor{idx}.pgm"), mat)
     _log(f"kernel-dump: wrote {len(anchors)} anchor fields")
@@ -549,6 +557,9 @@ def main(argv=None):
     try:
         apply_thread_cap()
         args = build_parser().parse_args(argv)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise InvalidSpec(f"--seed {args.seed} is negative; a seed is a "
+                              f"non-negative integer")
         return args.func(args)
     except NumericalError as exc:
         _log(f"numerical failure: {exc}")

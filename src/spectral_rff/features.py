@@ -78,18 +78,24 @@ class FeatureBuffers:
         self.phi = np.empty((rows, 2 * m))
 
 
-def trig_blocks(x, bank, buffers=None):
-    """Yield (cos X W', sin X W') for each of the bank's ``banks`` frequency sets.
+def features_for_mode(x, bank, buffers=None):
+    """The feature map the bank selects: [sum of cos X W', sum of sin X W']
+    over its ``banks`` frequency sets.
 
-    Both come from t = tan(X W'/2) (see the module docstring): halving W
-    is exact, so t is the tangent of exactly half of the product X W'.
-    A pair is written into ``buffers`` when given; a fresh one is dropped
-    here once the caller asks for the next one.
+    Set i's (cos, sin) pair is written into buffers.pairs[i % len(pairs)]
+    and summed into buffers.phi, so with a pair per set each stays there
+    for the caller; without ``buffers`` one pair serves every set, and the
+    map holds phi and that pair. Both come from t = tan(X W'/2) (see the
+    module docstring): halving W is exact, so t is the tangent of exactly
+    half of the product X W'.
     """
     x = _as_inputs(x, bank)
+    n, m = x.shape[0], bank.m
+    if buffers is None:
+        buffers = FeatureBuffers(n, m, 1)
+    phi = buffers.phi[:n]
     for i, omega in enumerate((bank.omega1, bank.omega2)[:bank.banks]):
-        c, s = (np.empty((2, x.shape[0], bank.m)) if buffers is None
-                else buffers.pairs[i % len(buffers.pairs)][:, :x.shape[0]])
+        c, s = buffers.pairs[i % len(buffers.pairs)][:, :n]
         np.matmul(x, 0.5 * omega.T, out=s)   # theta/2, exactly
         np.tan(s, out=s)                      # t
         np.multiply(s, s, out=c)
@@ -97,31 +103,12 @@ def trig_blocks(x, bank, buffers=None):
         np.divide(2.0, c, out=c)              # w = 2/(1+t^2)
         s *= c                                # sin theta = t w
         c -= 1.0                              # cos theta = w - 1
-        yield c, s
-        del c, s
-
-
-def sum_blocks(blocks, m, buffers=None):
-    """Feature matrix [sum of cos blocks, sum of sin blocks], written into
-    ``buffers.phi`` when given; it records how many blocks it summed.
-
-    Fed straight from trig_blocks, it holds one bank's blocks at a time.
-    """
-    blocks = iter(blocks)
-    c, s = next(blocks)
-    phi = np.concatenate((c, s), axis=1,
-                         out=None if buffers is None else buffers.phi[:len(c)])
-    del c, s
-    banks = 1
-    for banks, (c, s) in enumerate(blocks, start=2):
-        phi[:, :m] += c
-        phi[:, m:] += s
-    return FeatureMatrix(phi, m, banks)
-
-
-def features_for_mode(x, bank, buffers=None):
-    """The feature map the bank selects: one summed set if stationary, two if not."""
-    return sum_blocks(trig_blocks(x, bank, buffers), bank.m, buffers)
+        if i:
+            phi[:, :m] += c
+            phi[:, m:] += s
+        else:
+            phi[:, :m], phi[:, m:] = c, s
+    return FeatureMatrix(phi, m, bank.banks)
 
 
 def ridge_multiplier(phi):

@@ -2,7 +2,8 @@
 
 The objective is the reduced log marginal likelihood L from the model
 module, maximized by ADAM (as descent on -L) over log sigma_f^2,
-log sigma_n^2 and the frequency sets in the mode's ``trained`` tuple.
+log sigma_n^2 and the mode's ``trained`` frequency sets: none, or one
+per bank.
 
 Gradients are analytic. Writing b = phi' y, A = phi' phi + r I and
 G = A^-1, the derivative of L with respect to the feature matrix is
@@ -38,18 +39,23 @@ benchmark first.
 
 train owns one StepWorkspace for all its steps, so no step allocates a
 large array or faults freed pages back in: lml_gradient writes into it
-the trig pairs, phi, C (then the identity that becomes C^-1), its
-factor and the outer product that becomes phibar, so a step holds two
-k x k arrays. Nothing returned aliases it, and train drops it before
-fit_state and keeps no name for the features it passes there, so a
-fit's peak is the larger of one step and fit_state's A and its factor.
+the trig pairs (one feature-map call leaves each set's pair in
+work.pairs for the chain rule), phi, C (then the identity that becomes
+C^-1), its factor and the outer product that becomes phibar, so a step
+holds two k x k arrays. Nothing returned aliases it, and train drops
+it before fit_state and keeps no name for the features it passes there,
+so a fit's peak is the larger of one step and fit_state's A and its
+factor.
 
 train holds the parameters as one vector theta = [log sigma_f^2,
-log sigma_n^2, the trained frequency sets raveled in ``trained`` order]
-and ADAM's two moments as one (2, len theta) array, with Kingma and
-Ba's constants ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8.
-Each step makes a new theta, so the banks that view it and the
-best-step snapshot (theta itself) are never written after it.
+log sigma_n^2, the trained frequency sets raveled in bank order], and
+lml_gradient returns dL/dtheta in that layout, so a step's ADAM update
+reads it as is. ADAM's two moments are one (2, len theta) array, with
+Kingma and Ba's constants ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9,
+0.999, 1e-8. Each step makes a new theta, so the banks that view it and
+the best-step snapshot (theta itself) are never written after it. The
+run stops once ``patience`` validation rounds in a row fail to lower
+the best score strictly.
 
 Gaussian dropout multiplies each frequency entry by an independent
 N(1, sigma_p^2) draw, fresh at every step; the noisy bank is used for
@@ -70,24 +76,23 @@ from scipy.linalg.lapack import dlauum
 from . import linalg, model
 from .data import Dataset, validation_rows
 from .errors import FactorizationFailed, NonFiniteLoss
-from .features import (FeatureBuffers, features_for_mode, ridge_multiplier,
-                       sum_blocks, trig_blocks)
+from .features import FeatureBuffers, features_for_mode, ridge_multiplier
 from .measures import (FrequencyBank, GaussianSE, sample_nonstationary,
                        sample_stationary)
 
 
 class Mode(NamedTuple):
     token: str       # command line spelling
-    trained: tuple   # frequency sets ADAM updates, one per bank
+    trained: int     # frequency sets ADAM updates: 0, or one per bank
 
 
 STATIONARY_FIXED = "stationary_fixed"
 STATIONARY_LEARNED = "stationary_learned"
 NONSTATIONARY_LEARNED = "nonstationary_learned"
 MODES = {
-    STATIONARY_FIXED: Mode("stationary-fixed", ()),
-    STATIONARY_LEARNED: Mode("stationary", ("omega",)),
-    NONSTATIONARY_LEARNED: Mode("nonstationary", ("omega1", "omega2")),
+    STATIONARY_FIXED: Mode("stationary-fixed", 0),
+    STATIONARY_LEARNED: Mode("stationary", 1),
+    NONSTATIONARY_LEARNED: Mode("nonstationary", 2),
 }
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -135,28 +140,6 @@ class TrainTrace:
                 fh.write(f"{i},{format(tr, '.17g')},{val},{ms:.3f}\n")
 
 
-class EarlyStopper:
-    """Track a to-be-minimized score; stop after `patience` flat evals."""
-
-    def __init__(self, patience):
-        self.patience = patience
-        self.best = math.inf
-        self.bad_evals = 0
-
-    def update(self, score):
-        """Record one evaluation; returns True when it improved the best."""
-        if score < self.best:
-            self.best = score
-            self.bad_evals = 0
-            return True
-        self.bad_evals += 1
-        return False
-
-    @property
-    def should_stop(self):
-        return self.bad_evals >= self.patience
-
-
 def apply_gaussian_dropout(bank, sigma_p, rng):
     """Multiply every frequency entry by an independent N(1, sigma_p^2) draw.
 
@@ -193,11 +176,11 @@ def median_heuristic_lengthscales(x, max_rows=1000):
 
 
 def log_variance_grads(ridge, sigma_n2, yy, a1_sq, a2_sq, tr_g, m, n):
-    """dL/du and dL/dv of the module docstring, keyed by parameter name."""
+    """The pair (dL/du, dL/dv) of the module docstring."""
     fit = ridge * a2_sq / (2.0 * sigma_n2)
     trace = 0.5 * ridge * tr_g
-    return {"log_sigma_f2": fit + trace - m,
-            "log_sigma_n2": (yy - a1_sq) / (2.0 * sigma_n2) - fit - trace + m - 0.5 * n}
+    return (fit + trace - m,
+            (yy - a1_sq) / (2.0 * sigma_n2) - fit - trace + m - 0.5 * n)
 
 
 class StepWorkspace(FeatureBuffers):
@@ -212,27 +195,21 @@ class StepWorkspace(FeatureBuffers):
         self.outer = np.empty((n, 2 * m))
 
 
-def lml_gradient(x, y, bank, hyper, mode, work=None):
-    """Reduced log marginal likelihood and its analytic gradients.
+def lml_gradient(x, y, bank, hyper, frequencies=True, work=None):
+    """Reduced log marginal likelihood and its analytic gradient.
 
-    Returns (lml, grads, info). ``grads`` has log_sigma_f2 and
-    log_sigma_n2 entries always, plus one per key of the mode's
-    ``trained`` tuple; stationary_fixed carries no frequency gradients
-    at all. ``info`` reports the jitter used. ``work`` defaults to a
-    fresh StepWorkspace.
+    Returns (lml, grad, jitter). ``grad`` is laid out as train's theta:
+    dL/du, dL/dv, then with ``frequencies`` dL/dW for each of the bank's
+    ``banks`` sets, raveled; without them it holds the two log-variance
+    derivatives only. ``jitter`` is what the factorization added.
+    ``work`` defaults to a fresh StepWorkspace.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown training mode {mode!r}")
-    trained = MODES[mode].trained
-    if trained and len(trained) != bank.banks:
-        raise ValueError(f"mode {mode} trains {len(trained)} banks, not {bank.banks}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    m = bank.m
+    n, m = y.shape[0], bank.m
     if work is None:
         work = StepWorkspace(x.shape[0], m)
-    blocks = list(trig_blocks(x, bank, work))
-    phi = sum_blocks(blocks, m, work)
+    phi = features_for_mode(x, bank, work)
     core = model.reduced_core(phi, y, hyper, work)
     chol, alpha2 = core["chol"], core["alpha2"]
     k = chol.shape[0]
@@ -250,9 +227,10 @@ def lml_gradient(x, y, bank, hyper, mode, work=None):
     if info != 0:
         raise FactorizationFailed(f"dlauum failed with info={info}")
     tr_g = float(np.trace(cinv)) + (2 * m - k) / core["ridge"]
-    grads = log_variance_grads(core["ridge"], hyper.sigma_n2, core["yy"], core["a1_sq"],
-                               core["a2_sq"], tr_g, m, y.shape[0])
-    if trained:
+    grad = np.empty(2 + frequencies * bank.banks * bank.omega1.size)
+    grad[:2] = log_variance_grads(core["ridge"], hyper.sigma_n2, core["yy"],
+                                  core["a1_sq"], core["a2_sq"], tr_g, m, n)
+    if frequencies:
         resid = y - phi.phi @ alpha2
         # phibar' = alpha2 resid' / sigma_n^2 - (phi G)' in one dsymm, written
         # into the outer product through its Fortran-ordered transpose:
@@ -262,12 +240,14 @@ def lml_gradient(x, y, bank, hyper, mode, work=None):
         phibar = dsymm(-1.0, cinv, phi.phi.T, beta=1.0, c=work.outer.T,
                        side=int(k < 2 * m), lower=1, overwrite_c=1).T
         cbar, sbar = phibar[:, :m], phibar[:, m:]
-        # the chain rule's products overwrite each bank's pair, read last here
-        for key, (c, s) in zip(trained, blocks):
+        # the map left set i's pair in work.pairs[i]; the chain rule's
+        # products overwrite it, and each set's dL/dW lands in grad
+        for pair, out in zip(work.pairs, grad[2:].reshape(-1, m, x.shape[1])):
+            c, s = pair[:, :n]
             np.multiply(sbar, c, out=c)
             np.multiply(cbar, s, out=s)
-            grads[key] = np.subtract(c, s, out=c).T @ x
-    return core["lml"], grads, {"jitter": core["jitter"]}
+            np.matmul(np.subtract(c, s, out=c).T, x, out=out)
+    return core["lml"], grad, core["jitter"]
 
 
 class _FixedBankObjective:
@@ -315,9 +295,9 @@ class _FixedBankObjective:
                - 0.5 * float(np.sum(np.log(d)))
                + self.m * math.log(ridge)
                - 0.5 * self.n * math.log(2.0 * math.pi * sigma_n2))
-        return lml, log_variance_grads(ridge, sigma_n2, self.yy, a1_sq,
-                                       float(np.sum(b2 / (d * d))),
-                                       float(np.sum(1.0 / d)), self.m, self.n)
+        return lml, np.array(log_variance_grads(ridge, sigma_n2, self.yy, a1_sq,
+                                                float(np.sum(b2 / (d * d))),
+                                                float(np.sum(1.0 / d)), self.m, self.n))
 
 
 def adam_step(theta, loss_grad, moments, t, learning_rate):
@@ -339,7 +319,7 @@ def adam_step(theta, loss_grad, moments, t, learning_rate):
 
 def _initial_bank(spec_init, x, config, rng):
     d = x.shape[1]
-    pairs = len(MODES[config.mode].trained) == 2
+    pairs = MODES[config.mode].trained == 2
     if isinstance(spec_init, FrequencyBank):
         bank = spec_init
         if pairs and bank.stationary:
@@ -404,8 +384,7 @@ def train(dataset, config, spec_init=None):
         var_y = 1.0
     hyper = model.Hyperparams.from_variances(var_y, 0.1 * var_y)
 
-    keys = ("log_sigma_f2", "log_sigma_n2", *MODES[config.mode].trained)
-    banks = len(keys) - 2
+    banks = MODES[config.mode].trained
     theta = np.concatenate([[hyper.log_sigma_f2, hyper.log_sigma_n2],
                             *(np.ravel(w) for w in (bank0.omega1, bank0.omega2)[:banks])])
     moments = np.zeros((2, theta.size))
@@ -418,8 +397,7 @@ def train(dataset, config, spec_init=None):
         work = StepWorkspace(x_tr.shape[0], bank0.m)
 
     trace = TrainTrace()
-    stopper = EarlyStopper(config.patience)
-    best = None
+    best, best_score, flat = None, math.inf, 0
     log_floor = math.log(model.SIGMA_N2_FLOOR)
     trace.stop_reason = "max_steps"
 
@@ -427,25 +405,22 @@ def train(dataset, config, spec_init=None):
         t0 = time.perf_counter()
         hyper, bank = _unpack(theta, bank0, banks, trace)
         if fixed_fast:
-            value, lml_grads = train_obj.value_and_grads(hyper)
+            value, grad = train_obj.value_and_grads(hyper)
             jitter = 0.0
         else:
             noisy = apply_gaussian_dropout(bank, config.dropout_sigma_p, rng_noise)
-            value, lml_grads, info = lml_gradient(x_tr, y_tr, noisy, hyper,
-                                                  config.mode, work)
-            jitter = info["jitter"]
+            value, grad, jitter = lml_gradient(x_tr, y_tr, noisy, hyper, banks > 0, work)
         neg_lml = -value if math.isfinite(value) else math.inf
         # one record per step on every exit path keeps the lists aligned
         try:
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"objective became non-finite at step {step}", trace)
-            loss_grad = -np.concatenate([np.ravel(lml_grads[k]) for k in keys])
-            if not np.all(np.isfinite(loss_grad)):
+            if not np.all(np.isfinite(grad)):
                 raise NonFiniteLoss(f"gradient became non-finite at step {step}", trace)
             if jitter > 0.0:
                 trace.jitter_events.append((step, jitter))
 
-            theta = adam_step(theta, loss_grad, moments, step, config.learning_rate)
+            theta = adam_step(theta, -grad, moments, step, config.learning_rate)
             theta[1] = max(theta[1], log_floor)
 
             if step % config.eval_every == 0:
@@ -458,11 +433,14 @@ def train(dataset, config, spec_init=None):
                 if not math.isfinite(val_lml):
                     raise NonFiniteLoss(f"validation objective non-finite at step {step}", trace)
                 trace.val_history.append((step, -val_lml))
-                if stopper.update(-val_lml):
-                    best = theta
-                if stopper.should_stop:
-                    trace.stop_reason = "patience"
-                    break
+                # only a strictly lower score improves; a tie counts as flat
+                if -val_lml < best_score:
+                    best, best_score, flat = theta, -val_lml, 0
+                else:
+                    flat += 1
+                    if flat >= config.patience:
+                        trace.stop_reason = "patience"
+                        break
         finally:
             trace.train_neg_lml.append(neg_lml)
             trace.wall_ms.append((time.perf_counter() - t0) * 1e3)

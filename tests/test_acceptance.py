@@ -155,7 +155,8 @@ def test_criterion_06_analytic_gradients_match_finite_differences():
                        (NONSTATIONARY_LEARNED, "nonstationary")):
         for _ in range(30):
             x, y, bank, hyper = random_instance(rng, kind, max_n=30, max_m=6)
-            _, grads, _ = lml_gradient(x, y, bank, hyper, mode)
+            _, grad, _ = lml_gradient(x, y, bank, hyper)
+            grads = dict(zip(("log_sigma_f2", "log_sigma_n2"), grad))
             for key in ("log_sigma_f2", "log_sigma_n2"):
                 hi = Hyperparams(hyper.log_sigma_f2, hyper.log_sigma_n2)
                 lo = Hyperparams(hyper.log_sigma_f2, hyper.log_sigma_n2)
@@ -165,6 +166,7 @@ def test_criterion_06_analytic_gradients_match_finite_differences():
                       - value(x, y, bank, lo)) / (2.0 * h)
                 worst = max(worst, abs(grads[key] - fd) / max(1.0, abs(fd)))
             keys = ["omega"] if mode == STATIONARY_LEARNED else ["omega1", "omega2"]
+            grads.update(zip(keys, grad[2:].reshape(len(keys), *bank.omega1.shape)))
             for key in keys:
                 base = bank.omega1 if key != "omega2" else bank.omega2
                 for i in range(base.shape[0]):

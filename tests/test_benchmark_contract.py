@@ -129,7 +129,7 @@ def test_a_gradient_step_makes_one_inverse_and_no_wide_solves(monkeypatch, mode)
                 else FrequencyBank(*omega, stationary=False))
         x = rng.uniform(-1.0, 1.0, (n, 1))
         training.lml_gradient(x, np.sin(3.0 * x[:, 0]), bank,
-                              Hyperparams.from_variances(1.0, 0.1), mode)
+                              Hyperparams.from_variances(1.0, 0.1))
         assert len(inverses) == 1
         assert all(c == 1 for c in columns)
         assert factored == [1]
@@ -195,7 +195,7 @@ def test_train_calls_the_traced_step_functions_once_per_step(monkeypatch, tmp_pa
     # but counting no calls
     from spectral_rff import data, training
 
-    calls = {"adam_step": 0, "apply_gaussian_dropout": 0}
+    calls = {"adam_step": 0, "apply_gaussian_dropout": 0, "features_for_mode": 0}
 
     def counting(name):
         real = getattr(training, name)
@@ -215,5 +215,8 @@ def test_train_calls_the_traced_step_functions_once_per_step(monkeypatch, tmp_pa
     _, trace = training.train(dataset, config)
     trace.to_csv(tmp_path / "trace.csv")
     steps = len((tmp_path / "trace.csv").read_text().splitlines()) - 1
-    assert steps == 7
-    assert calls == {"adam_step": steps, "apply_gaussian_dropout": steps}
+    assert steps == 7 and len(trace.val_history) == 3
+    # one map per step, per validation round and for the final fit: the
+    # per-layer metrics read the map's span as nested in the step's
+    assert calls == {"adam_step": steps, "apply_gaussian_dropout": steps,
+                     "features_for_mode": steps + len(trace.val_history) + 1}

@@ -319,12 +319,25 @@ def test_a_fits_memory_peak_is_one_steps_workspace(sine_csv, tmp_path):
     (["kernel-dump", "--anchors", "0.2;abc"], ["--anchors", "'abc'"]),
     (["kernel-dump", "--anchors", "nan"], ["--anchors", "finite"]),
     (["kernel-dump", "--anchors", "0.2;1e400"], ["--anchors", "finite"]),
+    (["fit", "--seed", "-1"], ["--seed", "-1"]),
+    (["spectrum", "--spec", "se:1", "--seed", "-3"], ["--seed", "-3"]),
+    (["kernel-dump", "--anchors", "0.5", "--window", "1e308"], ["--window", "0.5"]),
+    (["kernel-dump", "--anchors", "1e300", "--window", "1"], ["--window", "1e+300"]),
+    (["kernel-dump", "--anchors", "0.5", "--window", "1e-320"], ["--window", "1e-320"]),
+    (["grid", "--grid", "0:1e308:3"], ["--grid", "grid point 3"]),
+    (["kernel-dump", "--anchors", "5e307", "--window", "1e307", "--count", "3"],
+     ["--anchors 5e+307", "--window", "point 4"]),
 ], ids=["grid-word", "grid-fraction", "spectrum-spec", "fit-spec",
-        "anchors-word", "anchors-nan", "anchors-overflow"])
+        "anchors-word", "anchors-nan", "anchors-overflow", "fit-seed", "spectrum-seed",
+        "window-overflow", "window-rounds-away-big-anchor", "window-rounds-away-tiny",
+        "grid-overflow", "window-standardized-overflow"])
 def test_unreadable_numbers_in_a_flag_name_the_flag(sine_csv, tmp_path, capsys,
                                                     command, words):
     # each printed Python's own int() or float() message, naming no flag;
-    # a nan or overflowing anchor was refused as a bad grid bound
+    # a nan or overflowing anchor was refused as a bad grid bound, a
+    # negative seed by numpy's "expected non-negative integer", a window
+    # that overflows or rounds away by GridSpec's bound checks, and a grid
+    # or window point that overflows when standardized as a data row
     if command[0] in ("grid", "kernel-dump"):
         extra = ["--model", str(fitted_model(sine_csv, tmp_path))]
     else:
@@ -508,22 +521,24 @@ def test_an_overflowing_fit_prints_one_line_after_its_progress_line(
     assert not (out / "model.json").exists() and not (out / "report.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["fit", "--split", "nan"],
-    ["fit", "--split", "0.999"],
-    ["fit", "--val-frac", "0.999"],
-    ["benchmark", "chirp", "--n", "60", "--split", "nan"],
-    ["benchmark", "chirp", "--n", "60", "--split", "0.999"],
-    ["benchmark", "chirp", "--n", "60", "--runs", "0"],
+@pytest.mark.parametrize("argv,words", [
+    (["fit", "--split", "nan"], []),
+    (["fit", "--split", "0.999"], []),
+    (["fit", "--val-frac", "0.999"], []),
+    (["benchmark", "chirp", "--n", "60", "--split", "nan"], []),
+    (["benchmark", "chirp", "--n", "60", "--split", "0.999"], []),
+    (["benchmark", "chirp", "--n", "60", "--runs", "0"], []),
+    (["benchmark", "chirp", "--n", "60", "--seed", "-1"], ["--seed", "-1"]),
 ], ids=["fit-nan", "fit-0.999", "fit-val-frac-0.999", "benchmark-nan", "benchmark-0.999",
-        "benchmark-runs-0"])
+        "benchmark-runs-0", "benchmark-seed"])
 def test_a_bad_split_or_run_count_is_refused_before_the_progress_line(
-        argv, sine_csv, tmp_path, capsys):
-    # each used to log "fit: 60 rows ..." or "benchmark chirp: ..." first
+        argv, words, sine_csv, tmp_path, capsys):
+    # each used to log "fit: 60 rows ..." or "benchmark chirp: ..." first,
+    # or, for a negative seed, numpy's message naming no flag
     out = tmp_path / "out"
     extra = ["--data", sine_csv] if argv[0] == "fit" else ["--m", "4", "--max-steps", "1"]
     assert run_cli([*argv, *extra, "--out-dir", str(out)]) == 1
-    assert_one_error_line(capsys)
+    assert_one_error_line(capsys, *words)
     assert not out.exists()
 
 

@@ -10,7 +10,7 @@ from spectral_rff import measures
 from spectral_rff.errors import DimensionMismatch, InvalidParams, UnsupportedSpec
 from spectral_rff.features import (FeatureBuffers, FeatureMatrix, forbid_dense_kernel,
                                    features_for_mode, kernel_cross, kernel_estimate,
-                                   kernel_matrix, ridge_multiplier, trig_blocks)
+                                   kernel_matrix, ridge_multiplier)
 from spectral_rff.linalg import seeded_rng
 from spectral_rff.measures import (FrequencyBank, GaussianSE, LaplacianCauchy,
                                    MaternT, sample_nonstationary,
@@ -178,17 +178,26 @@ def test_dense_kernel_guard_blocks_square_builds(rng):
     kernel_estimate(fs, 1.0)
 
 
+def trig_pairs(x, bank):
+    """Each frequency set's (cos, sin) pair, as the map leaves them in a
+    buffer with a pair per set."""
+    x = np.atleast_2d(x)
+    buffers = FeatureBuffers(x.shape[0], bank.m, 2)
+    features_for_mode(x, bank, buffers)
+    return buffers.pairs[:bank.banks]
+
+
 def test_feature_map_is_the_sum_of_its_trig_blocks(rng):
     st, ns = make_banks(m=6)
     x = rng.standard_normal((5, 2))
     for bank, count in ((st, 1), (ns, 2)):
-        blocks = list(trig_blocks(x, bank))
+        blocks = trig_pairs(x, bank)
         assert len(blocks) == count
         phi = features_for_mode(x, bank).phi
         np.testing.assert_array_equal(phi[:, :6], sum(c for c, _ in blocks))
         np.testing.assert_array_equal(phi[:, 6:], sum(s for _, s in blocks))
     with pytest.raises(DimensionMismatch):
-        list(trig_blocks(np.zeros((2, 3)), ns))
+        features_for_mode(np.zeros((2, 3)), ns, FeatureBuffers(2, 6, 2))
 
 
 def test_feature_buffers_give_the_fresh_map_bit_for_bit(rng):
@@ -217,7 +226,7 @@ def test_trig_blocks_agree_with_cos_and_sin(size, rng):
     # |theta| spreads over [0, size]; the half-angle map is within ~3.5e-16
     x = size * rng.uniform(-1.0, 1.0, (37, 1))
     for bank in one_dim_banks(rng):
-        for (c, s), omega in zip(trig_blocks(x, bank), (bank.omega1, bank.omega2)):
+        for (c, s), omega in zip(trig_pairs(x, bank), (bank.omega1, bank.omega2)):
             theta = x @ omega.T
             np.testing.assert_allclose(c, np.cos(theta), rtol=0, atol=1e-15)
             np.testing.assert_allclose(s, np.sin(theta), rtol=0, atol=1e-15)
@@ -229,9 +238,9 @@ def test_trig_blocks_rows_one_at_a_time_equal_the_block(rng):
     x = 30.0 * rng.uniform(-1.0, 1.0, (37, 1))
     x[5] = 0.0
     for bank in one_dim_banks(rng):
-        whole = [np.array(pair) for pair in trig_blocks(x, bank)]
+        whole = trig_pairs(x, bank)
         for i in range(x.shape[0]):
-            for pair, row in zip(whole, trig_blocks(x[i], bank)):
+            for pair, row in zip(whole, trig_pairs(x[i], bank)):
                 np.testing.assert_array_equal(pair[:, i:i + 1], np.array(row))
         for c, s in whole:   # theta = 0 gives exactly (1, 0)
             assert np.all(c[5] == 1.0) and np.all(s[5] == 0.0)
@@ -244,7 +253,7 @@ def test_trig_blocks_raise_no_warning_on_finite_theta(rng):
     for bank in one_dim_banks(rng):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for c, s in trig_blocks(x, bank):
+            for c, s in trig_pairs(x, bank):
                 assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
 
 

@@ -1,6 +1,7 @@
 """Gradient correctness, dropout semantics, optimizer loop behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from spectral_rff.model import (Hyperparams, dense_conditioning,
 from spectral_rff.training import (MODES, NONSTATIONARY_LEARNED,
                                    STATIONARY_FIXED, STATIONARY_LEARNED,
                                    ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
-                                   EarlyStopper, TrainConfig, TrainTrace,
+                                   TrainConfig, TrainTrace,
                                    _FixedBankObjective, _initial_bank, adam_step,
                                    apply_gaussian_dropout, lml_gradient,
                                    median_heuristic_lengthscales, train)
@@ -84,7 +85,8 @@ def test_gradients_match_central_differences(mode, kind):
     worst = 0.0
     for _ in range(6):
         x, y, bank, hyper = random_instance(rng, kind, max_n=30, max_m=6)
-        _, grads, _ = lml_gradient(x, y, bank, hyper, mode)
+        _, grad, _ = lml_gradient(x, y, bank, hyper)
+        grads = dict(zip(("log_sigma_f2", "log_sigma_n2"), grad))
 
         for key in ("log_sigma_f2", "log_sigma_n2"):
             up = Hyperparams(hyper.log_sigma_f2, hyper.log_sigma_n2)
@@ -95,6 +97,7 @@ def test_gradients_match_central_differences(mode, kind):
             worst = max(worst, abs(grads[key] - fd) / max(1.0, abs(fd)))
 
         freq_keys = ["omega"] if mode == STATIONARY_LEARNED else ["omega1", "omega2"]
+        grads.update(zip(freq_keys, grad[2:].reshape(len(freq_keys), *bank.omega1.shape)))
         for key in freq_keys:
             target = bank.omega1 if key in ("omega", "omega1") else bank.omega2
             for i in range(target.shape[0]):
@@ -113,15 +116,14 @@ def test_gradients_match_central_differences(mode, kind):
     assert worst < 1e-6
 
 
-def two_solve_lml_gradient(x, y, bank, hyper, mode):
+def two_solve_lml_gradient(x, y, bank, hyper):
     """Reference for lml_gradient's dlauum/dsymm core, whichever system it
     factors: A = phi' phi + r I factored by numpy, alpha2 and L from that
     factor, tr(G) as |R^-1|_F^2 and phi G from two triangular solves with
-    n right-hand sides."""
-    trained = MODES[mode].trained
+    n right-hand sides. The gradient is laid out as lml_gradient's."""
     m = bank.m
-    blocks = list(features.trig_blocks(x, bank))
-    phi = features.sum_blocks(blocks, m)
+    buffers = features.FeatureBuffers(x.shape[0], m, 2)
+    phi = features.features_for_mode(x, bank, buffers)
     n = y.shape[0]
     ridge = model.ridge_term(phi, hyper)
     r_chol = np.linalg.cholesky(phi.phi.T @ phi.phi + ridge * np.eye(2 * m))
@@ -132,18 +134,17 @@ def two_solve_lml_gradient(x, y, bank, hyper, mode):
            - np.sum(np.log(np.diagonal(r_chol))) + m * np.log(ridge)
            - 0.5 * n * np.log(2.0 * np.pi * hyper.sigma_n2))
     rinv = linalg.solve_lower(r_chol, np.eye(2 * m))
-    grads = training.log_variance_grads(ridge, hyper.sigma_n2, float(y @ y),
-                                        float(alpha1 @ alpha1), float(alpha2 @ alpha2),
-                                        float(np.sum(rinv * rinv)), m, n)
-    if trained:
-        w = linalg.solve_lower(r_chol, phi.phi.T)
-        phi_g = linalg.solve_upper(r_chol.T, w).T
-        resid = y - phi.phi @ alpha2
-        phibar = np.outer(resid, alpha2) / hyper.sigma_n2 - phi_g
-        cbar, sbar = phibar[:, :m], phibar[:, m:]
-        for key, (c, s) in zip(trained, blocks):
-            grads[key] = (sbar * c - cbar * s).T @ x
-    return float(lml), grads
+    grads = [*training.log_variance_grads(ridge, hyper.sigma_n2, float(y @ y),
+                                          float(alpha1 @ alpha1), float(alpha2 @ alpha2),
+                                          float(np.sum(rinv * rinv)), m, n)]
+    w = linalg.solve_lower(r_chol, phi.phi.T)
+    phi_g = linalg.solve_upper(r_chol.T, w).T
+    resid = y - phi.phi @ alpha2
+    phibar = np.outer(resid, alpha2) / hyper.sigma_n2 - phi_g
+    cbar, sbar = phibar[:, :m], phibar[:, m:]
+    for c, s in buffers.pairs[:bank.banks]:
+        grads.extend(np.ravel((sbar * c - cbar * s).T @ x))
+    return float(lml), np.array(grads)
 
 
 @pytest.mark.parametrize("mode", [STATIONARY_LEARNED, NONSTATIONARY_LEARNED])
@@ -169,12 +170,11 @@ def test_gradient_core_matches_the_two_solve_reference(mode, regime):
         y = np.sin(3.0 * x[:, 0]) + 0.1 * rng.standard_normal(n)
         hyper = Hyperparams.from_variances(float(np.exp(rng.uniform(-1.0, 1.0))),
                                            float(np.exp(rng.uniform(-4.0, 0.0))))
-        value, grads, _ = lml_gradient(x, y, bank, hyper, mode)
-        ref_value, ref_grads = two_solve_lml_gradient(x, y, bank, hyper, mode)
+        value, grad, _ = lml_gradient(x, y, bank, hyper)
+        ref_value, ref_grad = two_solve_lml_gradient(x, y, bank, hyper)
         assert value == pytest.approx(ref_value, rel=1e-10)
-        assert set(grads) == set(ref_grads)
-        for key, ref in ref_grads.items():
-            np.testing.assert_allclose(grads[key], ref, rtol=1e-10, atol=0.0)
+        assert grad.shape == ref_grad.shape == (2 + bank.banks * m * d,)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=0.0)
 
 
 # --- the step workspace -----------------------------------------------------
@@ -198,16 +198,15 @@ def workspace_instance(mode, n, m, seed=83, d=2):
 def test_a_reused_workspace_gives_the_fresh_step_bit_for_bit(mode, n, m):
     x, y, bank, hyper, rng = workspace_instance(mode, n, m)
     work = training.StepWorkspace(n, m)
+    frequencies = MODES[mode].trained > 0
     for _ in range(5):
         noisy = apply_gaussian_dropout(bank, 0.05, rng)
-        value, grads, info = lml_gradient(x, y, noisy, hyper, mode, work)
-        ref_value, ref_grads, ref_info = lml_gradient(x, y, noisy, hyper, mode)
-        assert value == ref_value and info == ref_info
-        assert set(grads) == set(ref_grads) == {"log_sigma_f2", "log_sigma_n2",
-                                                *MODES[mode].trained}
-        for key, grad in grads.items():
-            np.testing.assert_array_equal(grad, ref_grads[key])
-            assert not any(np.shares_memory(grad, a) for a in workspace_arrays(work))
+        value, grad, jitter = lml_gradient(x, y, noisy, hyper, frequencies, work)
+        ref_value, ref_grad, ref_jitter = lml_gradient(x, y, noisy, hyper, frequencies)
+        assert value == ref_value and jitter == ref_jitter
+        assert grad.shape == ref_grad.shape == (2 + MODES[mode].trained * m * x.shape[1],)
+        np.testing.assert_array_equal(grad, ref_grad)
+        assert not any(np.shares_memory(grad, a) for a in workspace_arrays(work))
 
 
 @pytest.mark.parametrize("n,m", [(60, 12), (20, 15)])
@@ -218,7 +217,7 @@ def test_the_step_overwrites_its_identity_and_outer_product_in_place(n, m):
     mode = NONSTATIONARY_LEARNED
     x, y, bank, hyper, _ = workspace_instance(mode, n, m)
     work = training.StepWorkspace(n, m)
-    _, grads, _ = lml_gradient(x, y, bank, hyper, mode, work)
+    _, grad, _ = lml_gradient(x, y, bank, hyper, work=work)
     chol = work.chol
     # the identity is written over the spent Gram system, through its
     # Fortran-ordered transpose
@@ -229,27 +228,17 @@ def test_the_step_overwrites_its_identity_and_outer_product_in_place(n, m):
     # the outer-product buffer holds phibar: the chain rule gives the
     # returned gradients from it bit for bit
     cbar, sbar = work.outer[:, :m], work.outer[:, m:]
-    blocks = features.trig_blocks(x, bank)
-    for key, (c, s) in zip(MODES[mode].trained, blocks):
-        np.testing.assert_array_equal((sbar * c - cbar * s).T @ x, grads[key])
+    buffers = features.FeatureBuffers(n, m, 2)
+    features_for_mode(x, bank, buffers)
+    for (c, s), dw in zip(buffers.pairs, grad[2:].reshape(2, m, -1)):
+        np.testing.assert_array_equal((sbar * c - cbar * s).T @ x, dw)
 
 
 def test_fixed_mode_reports_no_frequency_gradients():
     rng = seeded_rng(78)
     x, y, bank, hyper = random_instance(rng, "stationary")
-    _, grads, _ = lml_gradient(x, y, bank, hyper, STATIONARY_FIXED)
-    assert set(grads) == {"log_sigma_f2", "log_sigma_n2"}
-    with pytest.raises(ValueError):
-        lml_gradient(x, y, bank, hyper, "banded")
-
-
-def test_a_learned_mode_refuses_a_bank_of_the_other_count():
-    # the bank picks the map, so a mode trains only the sets its bank has
-    x, y, st, hyper = random_instance(seeded_rng(81), "stationary")
-    ns = FrequencyBank(st.omega1, st.omega1.copy(), stationary=False)
-    for bank, mode in ((ns, STATIONARY_LEARNED), (st, NONSTATIONARY_LEARNED)):
-        with pytest.raises(ValueError, match="banks"):
-            lml_gradient(x, y, bank, hyper, mode)
+    _, grad, _ = lml_gradient(x, y, bank, hyper, frequencies=False)
+    assert grad.shape == (2,)
 
 
 def test_duplicate_frequency_rows_get_equal_gradients():
@@ -258,9 +247,9 @@ def test_duplicate_frequency_rows_get_equal_gradients():
     om = bank.omega1.copy()
     om[1] = om[0]
     dup = FrequencyBank(om, stationary=True)
-    _, grads, _ = lml_gradient(x, y, dup, hyper, STATIONARY_LEARNED)
-    np.testing.assert_allclose(grads["omega"][0], grads["omega"][1],
-                               rtol=1e-9, atol=1e-12)
+    _, grad, _ = lml_gradient(x, y, dup, hyper)
+    omega_grad = grad[2:].reshape(om.shape)
+    np.testing.assert_allclose(omega_grad[0], omega_grad[1], rtol=1e-9, atol=1e-12)
 
 
 def test_fixed_bank_objective_agrees_with_general_path():
@@ -273,11 +262,12 @@ def test_fixed_bank_objective_agrees_with_general_path():
         assert obj.lam.shape == obj.btilde.shape == (2 * m,)
         for sf2, sn2 in ((1.0, 0.1), (3.0, 0.5), (0.2, 0.01), (1.0, 1e-4)):
             hyper = Hyperparams.from_variances(sf2, sn2)
-            fast_val, fast_grads = obj.value_and_grads(hyper)
-            slow_val, slow_grads, _ = lml_gradient(x, y, bank, hyper, STATIONARY_FIXED)
+            fast_val, fast_grad = obj.value_and_grads(hyper)
+            slow_val, slow_grad, _ = lml_gradient(x, y, bank, hyper, frequencies=False)
             assert fast_val == pytest.approx(slow_val, rel=1e-9)
-            for key in slow_grads:
-                assert fast_grads[key] == pytest.approx(slow_grads[key], rel=1e-8)
+            assert fast_grad.shape == slow_grad.shape == (2,)
+            for fast, slow in zip(fast_grad, slow_grad):
+                assert fast == pytest.approx(slow, rel=1e-8)
 
 
 # --- optimizer pieces -------------------------------------------------------
@@ -314,18 +304,34 @@ def test_adam_steps_equal_kingma_ba_element_by_element():
         assert moments.tolist() == [m1, m2]
 
 
-def test_early_stopper_counts_flat_evaluations():
-    stopper = EarlyStopper(patience=2)
-    assert stopper.update(5.0)
-    assert not stopper.update(6.0)
-    assert not stopper.should_stop
-    assert not stopper.update(5.0)   # ties do not improve
-    assert stopper.should_stop
-    fresh = EarlyStopper(patience=2)
-    fresh.update(5.0)
-    fresh.update(6.0)
-    assert fresh.update(4.0)         # improvement resets the counter
-    assert fresh.bad_evals == 0
+@pytest.mark.parametrize("scores,stop_round,best_round", [
+    ((5.0, 6.0, 5.0), 3, 1),             # a tie counts as flat
+    ((5.0, 6.0, 4.0, 7.0, 8.0), 5, 3),   # an improvement resets the count
+], ids=["tie-is-flat", "improvement-resets"])
+def test_early_stopping_keeps_the_best_round(monkeypatch, scores, stop_round, best_round):
+    # validation rounds score what the script says, in order
+    def scripted_train(config):
+        script = iter(scores)
+        monkeypatch.setattr(model, "log_marginal_likelihood_reduced",
+                            lambda phi, y, hyper: -next(script))
+        return train(sine_dataset(), config)
+
+    every = 4
+    config = TrainConfig(mode=STATIONARY_LEARNED, m=6, learning_rate=0.05,
+                         max_steps=100, eval_every=every, patience=2,
+                         dropout_sigma_p=0.1, seed=11)
+    state, trace = scripted_train(config)
+    assert trace.stop_reason == "patience"
+    assert trace.val_history == [(every * r, s) for r, s in enumerate(scores, start=1)]
+    assert len(trace.train_neg_lml) == every * stop_round
+    # the fit is the best round's parameters: a run that ends there gives it
+    rerun, rerun_trace = scripted_train(replace(config, max_steps=every * best_round))
+    assert rerun_trace.stop_reason == "max_steps"
+    np.testing.assert_array_equal(rerun.r, state.r)
+    np.testing.assert_array_equal(rerun.alpha2, state.alpha2)
+    np.testing.assert_array_equal(rerun.bank.omega1, state.bank.omega1)
+    assert rerun.hyper.log_sigma_f2 == state.hyper.log_sigma_f2
+    assert rerun.hyper.log_sigma_n2 == state.hyper.log_sigma_n2
 
 
 def test_train_config_validation():
