@@ -214,6 +214,18 @@ def cmd_fit(args):
     return 0
 
 
+def _refuse_first(bad, first_row, row, why):
+    """Refuse the first row flagged in ``bad`` by its 1-based number,
+    counted from ``first_row`` and named ``row``."""
+    import numpy as np
+
+    if bad.any():
+        raise InvalidSpec(f"{row} {first_row + int(np.argmax(bad)) + 1} {why}")
+
+
+_OVERFLOWS_ANGLE = "overflows its feature angles x . omega with the model's frequencies"
+
+
 def _standardized(x, st, first_row=0, row="data row"):
     """Inputs in the model's standardized units; a finite row far outside
     the training range can overflow there, and is refused by its 1-based
@@ -225,22 +237,28 @@ def _standardized(x, st, first_row=0, row="data row"):
 
     with np.errstate(over="ignore", invalid="ignore"):
         z = data.standardize_inputs(x, st)
-    bad = ~np.isfinite(z).all(axis=1)
-    if bad.any():
-        raise InvalidSpec(f"{row} {first_row + int(np.argmax(bad)) + 1} is not "
-                          f"finite after standardizing with the model's input statistics")
+    _refuse_first(~np.isfinite(z).all(axis=1), first_row, row,
+                  "is not finite after standardizing with the model's input statistics")
     return z
 
 
 def _predict_data_units(state, x, work=None, first_row=0, row="data row"):
     """Predictive mean and variance at raw inputs, in the data's units;
-    ``x`` starts at ``row`` ``first_row`` + 1."""
+    ``x`` starts at ``row`` ``first_row`` + 1. A row whose angle x . omega
+    overflows maps to nan features, and so to a nan mean, and is refused
+    like a row that overflows when standardized."""
+    import numpy as np
+
     from . import data, model
 
     st = state.standardization
+    if st is not None:
+        x = _standardized(x, st, first_row, row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, var = model.predict(state, x, work)
+    _refuse_first(~(np.isfinite(mean) & np.isfinite(var)), first_row, row, _OVERFLOWS_ANGLE)
     if st is None:
-        return model.predict(state, x, work)
-    mean, var = model.predict(state, _standardized(x, st, first_row, row), work)
+        return mean, var
     return data.destandardize_predictions(mean, var, st)
 
 
@@ -357,23 +375,28 @@ def cmd_kernel_dump(args):
         if not all(a - w < a + w and math.isfinite((a + w) - (a - w)) for a in anchor):
             raise InvalidSpec(f"--window {w!r} around anchor {name}: a - w and "
                               f"a + w must differ and lie a finite span apart")
-    # per anchor: grid, meshes, standardized copy, features and one (cos, sin) pair
-    _check_memory(8 * args.count ** d * (4 * d + 4 * state.bank.m),
+    # per anchor: grid, meshes, standardized copy, features and one (cos,
+    # sin) pair; and every anchor's field, as none is written before all
+    # are checked
+    _check_memory(8 * args.count ** d * (4 * d + 4 * state.bank.m + len(anchors)),
                   f"kernel-dump with --count {args.count}")
-    for idx, (anchor, name) in enumerate(zip(anchors, names)):
+    fields = []
+    for anchor, name in zip(anchors, names):
         a = np.asarray(anchor, dtype=float)
         spec = GridSpec(a - w, a + w, (args.count,) * d)
-        grid = data.make_grid(spec)
-        pts = np.vstack([a.reshape(1, -1), grid])
+        pts = np.vstack([a.reshape(1, -1), data.make_grid(spec)])
+        row = f"--anchors {name} with --window {w!r}: point"
         if state.standardization is not None:
-            pts = _standardized(pts, state.standardization,
-                                row=f"--anchors {name} with --window {w!r}: point")
-        phi = features_for_mode(pts, state.bank)
+            pts = _standardized(pts, state.standardization, row=row)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = features_for_mode(pts, state.bank)
+        _refuse_first(~np.isfinite(phi.phi).all(axis=1), 0, row, _OVERFLOWS_ANGLE)
         phi_a = type(phi)(phi.phi[:1], phi.m, phi.banks)
         phi_g = type(phi)(phi.phi[1:], phi.m, phi.banks)
         field = kernel_cross(phi_a, phi_g, state.hyper.sigma_f2)[0]
-        mat = field.reshape(spec.counts) if d > 1 else field.reshape(1, -1)
-        _outdir(args)
+        fields.append(field.reshape(spec.counts) if d > 1 else field.reshape(1, -1))
+    _outdir(args)
+    for idx, mat in enumerate(fields):
         data.write_matrix_csv(_out(args, f"kernel_anchor{idx}.csv"), mat)
         data.write_pgm(_out(args, f"kernel_anchor{idx}.pgm"), mat)
     _log(f"kernel-dump: wrote {len(anchors)} anchor fields")

