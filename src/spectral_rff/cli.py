@@ -9,8 +9,8 @@ The numeric stack is imported inside the command handlers, not at module
 level: BLAS pools size themselves when numpy first loads, so the
 SPECTRAL_RFF_THREADS cap has to reach the environment before that. That
 stack is numpy and scipy.linalg; scipy.stats loads only on the first
-copula or quantile call, and scipy.special only on the first closed-form
-Matern kernel, so no fit or predict pays for them unless it uses them.
+copula or quantile call, so no fit or predict pays for it unless it
+uses one.
 """
 
 import argparse
@@ -191,20 +191,30 @@ def cmd_fit(args):
     from . import model
     from .benchmarks import fit_and_score
     from .data import split_rows, validation_rows
-    from .training import MODES, TrainConfig
+    from .measures import FrequencyBank
+    from .training import MODES, TrainConfig, check_spec_init
 
     dataset = _load_dataset(args)
     n_train = split_rows(dataset.n, args.split)
     mode = next(name for name, m in MODES.items() if m.token == args.mode)
-    config = TrainConfig(mode=mode, m=args.m,
+    spec_init = _resolve_spec(args.spec, dataset.dim)
+    # a bank fixes m; without one an omitted --m means 100
+    m = 100 if args.m is None else args.m
+    what = f"fit with --m {m}"
+    if isinstance(spec_init, FrequencyBank):
+        if args.m not in (None, spec_init.m):
+            raise InvalidSpec(f"--m {args.m} differs from the --spec bank's m {spec_init.m}")
+        m = spec_init.m
+        what = f"fit with the --spec bank's m {m}"
+    config = TrainConfig(mode=mode, m=m,
                          learning_rate=args.lr, max_steps=args.max_steps,
                          patience=args.patience, eval_every=args.eval_every,
                          validation_fraction=args.val_frac,
                          dropout_sigma_p=args.sigma_p, seed=args.seed)
     validation_rows(n_train, config.validation_fraction)
-    _check_fit_memory(dataset.n, args.m, f"fit with --m {args.m}")
-    spec_init = _resolve_spec(args.spec, dataset.dim)
-    _log(f"fit: {dataset.n} rows, dim {dataset.dim}, mode {args.mode}, m {args.m}")
+    check_spec_init(spec_init, dataset.dim, mode)
+    _check_fit_memory(dataset.n, m, what)
+    _log(f"fit: {dataset.n} rows, dim {dataset.dim}, mode {args.mode}, m {m}")
     state, trace, mse, corr, _ = fit_and_score(dataset, config, args.split, spec_init)
     _outdir(args)
     model.save_model(_out(args, "model.json"), state)
@@ -495,8 +505,9 @@ def build_parser():
     _add_data_flags(p, required=True)
     p.add_argument("--mode", default="nonstationary",
                    choices=sorted(mode.token for mode in MODES.values()))
-    p.add_argument("--m", type=int, default=100,
-                   help="frequencies per bank (pairs count once)")
+    p.add_argument("--m", type=int, default=None,
+                   help="frequencies per bank (pairs count once); default 100, "
+                        "or the m of a --spec bank")
     p.add_argument("--spec", default=None,
                    help="initial measure, e.g. se:0.3 or matern:1.5, a "
                         "measure JSON file, or a bank JSON from spectrum "

@@ -12,9 +12,7 @@ nonstationary map sums two banks,
 and normalizes by 1/(4m); with W1 == W2 the cosine sum doubles every
 entry and the extra factor of 4 cancels, recovering the stationary
 kernel exactly. The bank picks the map: FrequencyBank.banks is 1 for a
-stationary bank and 2 otherwise. Closed-form kernels for the named
-spectral families are provided as oracles for convergence and duality
-checks.
+stationary bank and 2 otherwise.
 
 Each (cos, sin) pair comes from one tangent of the half angle: with
 t = tan(theta/2) and w = 2/(1 + t^2), cos theta = w - 1 and
@@ -34,31 +32,11 @@ a 200,000-row predict from 390 to 316 ms. At D = 2 and 3 dot took
 the same bits at D = 1, 2 and 3, and a test pins that.
 """
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, UnsupportedSpec
-from .measures import GaussianSE, LaplacianCauchy, MaternT
-
-_dense_kernels_allowed = True
-
-
-@contextlib.contextmanager
-def forbid_dense_kernel():
-    """Guard for tests: any n x n kernel construction inside raises."""
-    global _dense_kernels_allowed
-    _dense_kernels_allowed = False
-    try:
-        yield
-    finally:
-        _dense_kernels_allowed = True
-
-
-def dense_kernel_gate():
-    if not _dense_kernels_allowed:
-        raise RuntimeError("dense kernel construction is forbidden in this context")
+from .errors import DimensionMismatch, InvalidParams
 
 
 @dataclass(eq=False)
@@ -68,11 +46,15 @@ class FeatureMatrix:
     banks: int       # frequency banks the map summed: 1 or 2
 
 
+def check_input_dim(dim, bank):
+    """Refuse inputs of dimension ``dim`` for the bank's frequencies."""
+    if dim != bank.dim:
+        raise DimensionMismatch(f"inputs have dimension {dim}, bank has {bank.dim}")
+
+
 def _as_inputs(x, bank):
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != bank.dim:
-        raise DimensionMismatch(
-            f"inputs have dimension {x.shape[1]}, bank has {bank.dim}")
+    check_input_dim(x.shape[1], bank)
     return x
 
 
@@ -124,12 +106,6 @@ def ridge_multiplier(phi):
     return float(phi.m * phi.banks ** 2)
 
 
-def kernel_estimate(phi, sigma_f2):
-    """n x n kernel induced by a feature block. Test/export scale only."""
-    dense_kernel_gate()
-    return kernel_cross(phi, phi, sigma_f2)
-
-
 def kernel_cross(phi_a, phi_b, sigma_f2):
     """Kernel block sigma_f^2 / M phi_a phi_b' of two feature matrices from one bank."""
     if not (np.isfinite(sigma_f2) and sigma_f2 > 0):
@@ -137,33 +113,3 @@ def kernel_cross(phi_a, phi_b, sigma_f2):
     if (phi_a.m, phi_a.banks) != (phi_b.m, phi_b.banks):
         raise DimensionMismatch("feature blocks disagree in m or bank count")
     return (sigma_f2 * (1.0 / ridge_multiplier(phi_a))) * (phi_a.phi @ phi_b.phi.T)
-
-
-def kernel_matrix(spec, xa, xb):
-    """Closed-form kernel matrix for SE, Laplacian or Matern duals."""
-    xa = np.atleast_2d(np.asarray(xa, dtype=float))
-    xb = np.atleast_2d(np.asarray(xb, dtype=float))
-    if xa.shape[1] != xb.shape[1]:
-        raise DimensionMismatch("input blocks disagree in dimension")
-    delta = xa[:, None, :] - xb[None, :, :]
-    if isinstance(spec, GaussianSE):
-        if spec.dim != xa.shape[1]:
-            raise DimensionMismatch("spec dimension does not match inputs")
-        z = delta / spec.lengthscales
-        return np.exp(-0.5 * np.sum(z * z, axis=2))
-    if isinstance(spec, LaplacianCauchy):
-        if spec.dim != xa.shape[1]:
-            raise DimensionMismatch("spec dimension does not match inputs")
-        return np.exp(-np.sum(spec.scales * np.abs(delta), axis=2))
-    if isinstance(spec, MaternT):
-        from scipy.special import gammaln, kv
-
-        lam, s = spec.smoothness, spec.scale
-        r = np.sqrt(2.0 * lam) * np.sqrt(np.sum(delta * delta, axis=2)) / s
-        out = np.ones_like(r)
-        nz = r > 1e-12
-        rnz = r[nz]
-        log_c = (1.0 - lam) * np.log(2.0) - gammaln(lam)
-        out[nz] = np.exp(log_c + lam * np.log(rnz)) * kv(lam, rnz)
-        return out
-    raise UnsupportedSpec(f"no closed-form kernel for {type(spec).__name__}")

@@ -268,12 +268,17 @@ def sample_nonstationary(spec1, spec2, m, d, rng):
     return FrequencyBank(omega1, omega2, stationary=False)
 
 
-def _draw(spec, m, d, rng):
-    if m < 1 or d < 1:
-        raise IncompatibleDims(f"cannot sample a ({m}, {d}) bank")
+def check_spec_dim(spec, d):
+    """Refuse a measure that does not draw d-dimensional frequencies."""
     sd = _spec_dim(spec)
     if sd is not None and sd != d:
         raise IncompatibleDims(f"spec has dimension {sd}, requested {d}")
+
+
+def _draw(spec, m, d, rng):
+    if m < 1 or d < 1:
+        raise IncompatibleDims(f"cannot sample a ({m}, {d}) bank")
+    check_spec_dim(spec, d)
     # extreme parameters may overflow to inf: FrequencyBank refuses those
     # frequencies in one line, so numpy's own warnings are kept quiet
     with np.errstate(all="ignore"):
@@ -446,30 +451,9 @@ def save_bank(path, bank):
         fh.write("\n")
 
 
-def spec_to_json_dict(spec):
-    if isinstance(spec, GaussianSE):
-        return {"family": "gaussian_se", "lengthscales": spec.lengthscales.tolist()}
-    if isinstance(spec, LaplacianCauchy):
-        return {"family": "laplacian_cauchy", "scales": spec.scales.tolist()}
-    if isinstance(spec, MaternT):
-        return {"family": "matern_t", "smoothness": spec.smoothness, "scale": spec.scale}
-    if isinstance(spec, MixtureOfGaussians):
-        return {"family": "mixture_of_gaussians",
-                "weights": spec.weights.tolist(),
-                "means": spec.means.tolist(),
-                "covariances": spec.covariances.tolist()}
-    if isinstance(spec, GaussianCopula):
-        return {"family": "gaussian_copula",
-                "correlation": spec.correlation.tolist(),
-                "marginals": [spec_to_json_dict(p) for p in spec.marginals]}
-    if isinstance(spec, PerDimProduct):
-        return {"family": "per_dim_product",
-                "parts": [spec_to_json_dict(p) for p in spec.parts]}
-    raise UnsupportedSpec(f"cannot serialize {type(spec).__name__}")
-
-
 def spec_from_json_dict(obj):
-    """Inverse of spec_to_json_dict; malformed input raises InvalidSpec."""
+    """A measure from its JSON object, keyed by "family"; malformed input
+    raises InvalidSpec."""
     family = _json_field(obj, "family", "spectral measure")
 
     def get(key, read):
@@ -507,9 +491,3 @@ def load_spec(path):
         return spec_from_json_dict(doc)
     except RecursionError:
         raise InvalidSpec(f"spec file {path} is nested too deeply") from None
-
-
-def save_spec(path, spec):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_json_dict(spec), fh, sort_keys=True)
-        fh.write("\n")

@@ -29,8 +29,7 @@ predictive at a feature row p is
 
 with R_A^-1 formed once per PredictWorkspace, so each row chunk's
 |R_A^-1 p|^2 is one triangular multiply. Both agree with dense
-conditioning on the induced kernel to rounding. A dense O(n^3) path is
-kept alongside as the oracle for tests. Besides the features, a
+conditioning on the induced kernel to rounding. Besides the features, a
 training step holds no matrix larger than min(n, 2m)^2; only fit_state
 and predict hold the 2m x 2m R_A. fit_state forms b and A, then drops
 phi before it factors, so it holds A and R_A; save_model writes R_A's
@@ -51,17 +50,14 @@ from . import linalg
 from .data import StandardizationStats
 from .errors import (DimensionMismatch, InvalidParams, InvalidSpec,
                      SchemaMismatch)
-from .features import (FeatureBuffers, dense_kernel_gate, features_for_mode,
-                       ridge_multiplier)
+from .features import FeatureBuffers, features_for_mode, ridge_multiplier
 from .measures import (_decode_array, _encode_array, _json_array, _json_field,
                        _json_number, bank_from_json_dict, bank_to_json_dict)
 
 MODEL_FORMAT_VERSION = 2
 
-# Smallest noise variance the trainer may reach (standardized units) and
-# the hard floor below which the dense oracle refuses to run.
+# Smallest noise variance the trainer may reach (standardized units).
 SIGMA_N2_FLOOR = 1e-10
-DIRECT_SIGMA_N2_MIN = 1e-12
 
 # predict() works through row chunks whose n x 2m feature block takes
 # about this many bytes: 600 KiB is 256 rows at m = 150, so the block
@@ -190,46 +186,6 @@ def log_marginal_likelihood_reduced(phi, y, hyper):
     """O(n 2m min(n, 2m)) log marginal likelihood through the smaller
     Gram system."""
     return reduced_core(phi, y, hyper)["lml"]
-
-
-def log_marginal_likelihood_direct(k, y, sigma_n2):
-    """Dense O(n^3) oracle: log N(y; 0, K + sigma_n^2 I).
-
-    Kept for tests and small exports; guarded against large n and
-    degenerate noise.
-    """
-    dense_kernel_gate()
-    k = np.asarray(k, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    n = y.shape[0]
-    if k.shape != (n, n):
-        raise DimensionMismatch(f"kernel shape {k.shape} does not match n={n}")
-    if n > 2000:
-        raise InvalidParams("dense path is limited to n <= 2000")
-    if not sigma_n2 >= DIRECT_SIGMA_N2_MIN:
-        raise InvalidParams(f"sigma_n2 must be >= {DIRECT_SIGMA_N2_MIN}")
-    cov = k + sigma_n2 * np.eye(n)
-    root, _ = linalg.cholesky(cov, jitter_ladder=(0.0,))
-    v = linalg.solve_lower(root, y)
-    return float(-0.5 * (v @ v) - np.sum(np.log(np.diagonal(root)))
-                 - 0.5 * n * np.log(2.0 * np.pi))
-
-
-def dense_conditioning(k_train, k_cross, k_star_diag, y, sigma_n2):
-    """Dense GP conditioning oracle for the predictive mean and variance.
-
-    k_cross is (n, n_star); k_star_diag holds k(x*, x*). The returned
-    variance includes the observation noise, matching predict().
-    """
-    dense_kernel_gate()
-    y = np.asarray(y, dtype=float).ravel()
-    n = y.shape[0]
-    cov = np.asarray(k_train, dtype=float) + sigma_n2 * np.eye(n)
-    root, _ = linalg.cholesky(cov, jitter_ladder=(0.0,))
-    v = linalg.solve_lower(root, np.asarray(k_cross, dtype=float))
-    mean = v.T @ linalg.solve_lower(root, y)
-    var = sigma_n2 + np.asarray(k_star_diag, dtype=float) - np.sum(v * v, axis=0)
-    return mean, var
 
 
 def _chunk_rows(m):

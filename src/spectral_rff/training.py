@@ -76,9 +76,10 @@ from scipy.linalg.lapack import dlauum
 from . import linalg, model
 from .data import Dataset, validation_rows
 from .errors import FactorizationFailed, NonFiniteLoss
-from .features import FeatureBuffers, features_for_mode, ridge_multiplier
-from .measures import (FrequencyBank, GaussianSE, sample_nonstationary,
-                       sample_stationary)
+from .features import (FeatureBuffers, check_input_dim, features_for_mode,
+                       ridge_multiplier)
+from .measures import (FrequencyBank, GaussianSE, check_spec_dim,
+                       sample_nonstationary, sample_stationary)
 
 
 class Mode(NamedTuple):
@@ -317,16 +318,27 @@ def adam_step(theta, loss_grad, moments, t, learning_rate):
         return theta - step / (np.sqrt(m2 / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
 
 
+def check_spec_init(spec_init, dim, mode):
+    """Refuse a measure or bank that cannot start a ``mode`` fit on
+    ``dim``-dimensional inputs. train checks its spec_init here, and the
+    command line calls it before it starts a fit."""
+    if isinstance(spec_init, FrequencyBank):
+        if MODES[mode].trained != 2 and not spec_init.stationary:
+            raise ValueError("stationary modes need a stationary initial bank")
+        check_input_dim(dim, spec_init)
+    elif spec_init is not None:
+        check_spec_dim(spec_init, dim)
+
+
 def _initial_bank(spec_init, x, config, rng):
     d = x.shape[1]
     pairs = MODES[config.mode].trained == 2
+    check_spec_init(spec_init, d, config.mode)
     if isinstance(spec_init, FrequencyBank):
         bank = spec_init
         if pairs and bank.stationary:
             return FrequencyBank(bank.omega1.copy(), bank.omega1.copy(),
                                  stationary=False)
-        if not pairs and not bank.stationary:
-            raise ValueError("stationary modes need a stationary initial bank")
         return bank.copy()
     spec = spec_init
     if spec is None:

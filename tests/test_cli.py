@@ -13,6 +13,7 @@ from spectral_rff.linalg import seeded_rng, spawn_rngs
 from spectral_rff.model import load_model
 from spectral_rff.training import (MODES, NONSTATIONARY_LEARNED, STATIONARY_FIXED,
                                    STATIONARY_LEARNED)
+from oracles import save_spec
 
 
 def run_cli(argv):
@@ -529,12 +530,25 @@ def test_an_overflowing_fit_prints_one_line_after_its_progress_line(
     (["benchmark", "chirp", "--n", "60", "--split", "0.999"], []),
     (["benchmark", "chirp", "--n", "60", "--runs", "0"], []),
     (["benchmark", "chirp", "--n", "60", "--seed", "-1"], ["--seed", "-1"]),
+    (["fit", "--spec", "se:0.3,0.4"], ["spec has dimension 2, requested 1"]),
+    (["fit", "--mode", "stationary", "--spec", "pairs.json"],
+     ["stationary modes need a stationary initial bank"]),
+    (["fit", "--mode", "stationary-fixed", "--spec", "pairs.json"],
+     ["stationary modes need a stationary initial bank"]),
+    (["fit", "--spec", "planar.json"], ["inputs have dimension 1, bank has 2"]),
 ], ids=["fit-nan", "fit-0.999", "fit-val-frac-0.999", "benchmark-nan", "benchmark-0.999",
-        "benchmark-runs-0", "benchmark-seed"])
+        "benchmark-runs-0", "benchmark-seed", "fit-spec-dim", "fit-stationary-pairs",
+        "fit-stationary-fixed-pairs", "fit-bank-dim"])
 def test_a_bad_split_or_run_count_is_refused_before_the_progress_line(
         argv, words, sine_csv, tmp_path, capsys):
     # each used to log "fit: 60 rows ..." or "benchmark chirp: ..." first,
     # or, for a negative seed, numpy's message naming no flag
+    rng = seeded_rng(0)
+    measures.save_bank(tmp_path / "pairs.json", measures.FrequencyBank(
+        rng.standard_normal((3, 1)), rng.standard_normal((3, 1)), stationary=False))
+    measures.save_bank(tmp_path / "planar.json", measures.FrequencyBank(
+        rng.standard_normal((3, 2)), stationary=True))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     out = tmp_path / "out"
     extra = ["--data", sine_csv] if argv[0] == "fit" else ["--m", "4", "--max-steps", "1"]
     assert run_cli([*argv, *extra, "--out-dir", str(out)]) == 1
@@ -637,12 +651,19 @@ def test_size_guard_compares_against_physical_memory(monkeypatch):
 def test_oversized_requests_fail_in_one_line_before_allocating(
         monkeypatch, sine_csv, tmp_path, capsys):
     # on a 4 MiB machine each request below is refused; without the guard
-    # none would allocate more than a few tens of MB
+    # none would allocate more than a few tens of MB. The guard once sized
+    # a fit from a bank by the default m = 100, which fits, and let the
+    # 1,000-frequency bank train.
     model_path = fitted_model(sine_csv, tmp_path)
+    bank = tmp_path / "bank.json"
+    measures.save_bank(bank, measures.FrequencyBank(
+        seeded_rng(0).standard_normal((1000, 1)), stationary=True))
     small_machine(monkeypatch)
     capsys.readouterr()
     out = tmp_path / "big"
     for argv in (["fit", "--data", sine_csv, "--m", "1024"],
+                 ["fit", "--data", sine_csv, "--mode", "stationary-fixed",
+                  "--spec", str(bank), "--max-steps", "2"],
                  ["grid", "--model", str(model_path), "--grid", "0:1:200000"],
                  ["spectrum", "--spec", "se", "--m", "300000"],
                  ["kernel-dump", "--model", str(model_path), "--anchors", "0.5",
@@ -653,6 +674,26 @@ def test_oversized_requests_fail_in_one_line_before_allocating(
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert "physical memory" in err[0] and captured.out == ""
         assert not out.exists()
+
+
+def test_fit_takes_m_from_a_spec_bank(sine_csv, tmp_path, capsys):
+    # fit used to log and size the fit by --m (default 100) whatever m the
+    # bank had, and trained the bank's m
+    assert run_cli(["spectrum", "--spec", "se:0.3", "--m", "7", "--pairs",
+                    "--out-dir", str(tmp_path)]) == 0
+    bank = str(tmp_path / "bank.json")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run_cli(["fit", "--data", sine_csv, "--spec", bank, "--m", "100",
+                    "--max-steps", "3", "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, "--m 100", "bank's m 7")
+    assert not out.exists()
+    assert run_cli(["fit", "--data", sine_csv, "--spec", bank, "--max-steps", "3",
+                    "--out-dir", str(out)]) == 0
+    assert "mode nonstationary, m 7\n" in capsys.readouterr().err
+    assert load_model(out / "model.json").bank.m == 7
+    assert run_cli(["fit", "--data", sine_csv, "--spec", bank, "--m", "7",
+                    "--max-steps", "3", "--out-dir", str(tmp_path / "same")]) == 0
 
 
 def test_oversized_benchmark_fails_before_generating_data(monkeypatch, tmp_path, capsys):
@@ -688,7 +729,7 @@ def test_spectrum_outputs_and_determinism(tmp_path):
 
 def test_spectrum_pairs_mode_and_json_spec(tmp_path):
     spec_path = tmp_path / "spec.json"
-    measures.save_spec(spec_path, measures.MaternT(1.5, 0.5))
+    save_spec(spec_path, measures.MaternT(1.5, 0.5))
     out = tmp_path / "out"
     assert run_cli(["spectrum", "--spec", str(spec_path), "--m", "5",
                     "--dim", "1", "--pairs", "--out-dir", str(out)]) == 0

@@ -1,11 +1,12 @@
 """Import cost: the package loads numpy and scipy.linalg, nothing heavier.
 
-scipy.stats is imported inside the copula and quantile functions and
-scipy.special inside the closed-form Matern kernel, so a fit or predict
-that calls neither starts without them. Each check runs in a fresh
+scipy.stats is imported inside the copula and quantile functions, so a
+fit or predict that calls neither starts without it, and no module of
+the package imports scipy.special. Each run-time check runs in a fresh
 interpreter, because this one loaded both long ago.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -14,9 +15,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import stats
-
-from spectral_rff.features import kernel_matrix
-from spectral_rff.measures import MaternT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -51,21 +49,28 @@ def test_importing_the_package_loads_neither_scipy_stats_nor_special():
 
 def test_lazy_imports_compute_the_same_bits():
     out = run_fresh("""
-from spectral_rff.features import kernel_matrix
 from spectral_rff.measures import MaternT, quantile_fn
 before = lazy_modules()
 u = np.linspace(0.01, 0.99, 99)
 q = quantile_fn(MaternT(1.5, 2.0))(u)
-x = np.linspace(-2.0, 2.0, 7).reshape(-1, 1)
-k = kernel_matrix(MaternT(1.5, 2.0), x, x)
 print(json.dumps({"before": before, "q": q.tobytes().hex(),
-                  "k": k.tobytes().hex(),
-                  "stats": "scipy.stats" in sys.modules,
-                  "special": "scipy.special" in sys.modules}))
+                  "stats": "scipy.stats" in sys.modules}))
 """)
     assert out["before"] == []
-    assert out["stats"] and out["special"]
+    assert out["stats"]
     u = np.linspace(0.01, 0.99, 99)
     assert bytes.fromhex(out["q"]) == (stats.t.ppf(u, df=3.0) / 2.0).tobytes()
-    x = np.linspace(-2.0, 2.0, 7).reshape(-1, 1)
-    assert bytes.fromhex(out["k"]) == kernel_matrix(MaternT(1.5, 2.0), x, x).tobytes()
+
+
+def test_no_module_of_the_package_imports_scipy_special():
+    # the closed-form kernels that needed it are test oracles
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any(n == "scipy.special" or n.startswith("scipy.special.")
+                           for n in names), f"{path.name}:{node.lineno}"

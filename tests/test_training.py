@@ -9,12 +9,12 @@ import pytest
 from spectral_rff import data, features, linalg, model, training
 from spectral_rff.data import Dataset
 from spectral_rff.errors import DegenerateSplit, NonFiniteLoss
-from spectral_rff.features import features_for_mode, kernel_matrix
+from spectral_rff.features import features_for_mode
 from spectral_rff.linalg import seeded_rng
 from spectral_rff.measures import (FrequencyBank, GaussianSE,
                                    sample_nonstationary, sample_stationary)
-from spectral_rff.model import (Hyperparams, dense_conditioning,
-                                log_marginal_likelihood_reduced, predict)
+from spectral_rff.model import (Hyperparams, log_marginal_likelihood_reduced,
+                                predict)
 from spectral_rff.training import (MODES, NONSTATIONARY_LEARNED,
                                    STATIONARY_FIXED, STATIONARY_LEARNED,
                                    ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
@@ -23,6 +23,7 @@ from spectral_rff.training import (MODES, NONSTATIONARY_LEARNED,
                                    apply_gaussian_dropout, lml_gradient,
                                    median_heuristic_lengthscales, train)
 from tests.conftest import random_instance
+from oracles import dense_conditioning, kernel_matrix
 
 
 def sine_dataset(n=40, seed=0, standardized=True):
