@@ -63,10 +63,12 @@ def _check_memory(nbytes, what):
 def _check_fit_memory(n, m, what):
     """Size guard for training m frequencies on n rows. It counts one
     step's four n x 2m arrays (two cos/sin pairs, phi and the outer
-    product) plus fit_state's 2m x 2m system and factor. A fit holds the
-    larger of the step, which adds two k x k arrays with k = min(n, 2m),
-    and fit_state, so this sum is the conservative bound."""
-    _check_memory(16 * m * (4 * n + 4 * m), what)
+    product) plus fit_state's 2m x 2m system and factor, plus (2m)^2 / 2
+    doubles for the block copies of a step's recursive inverse. A fit
+    holds the larger of the step, which adds two k x k arrays and at
+    most k^2 / 2 doubles of copies with k = min(n, 2m), and fit_state,
+    so this sum is the conservative bound."""
+    _check_memory(16 * m * (4 * n + 5 * m), what)
 
 
 def apply_thread_cap(environ=os.environ):

@@ -26,26 +26,27 @@ The model core factors the smaller Gram system C = R R' of order
 k = min(n, 2m): A when n >= 2m, else B = phi phi' + r I. With
 e = 2m - k, tr(G) = tr(C^-1) + e / r and phi G = C^-1 phi when C = B
 (the model module's docstring says why). C^-1 is formed once per step
-with level-3 kernels, never by triangular solves against phi, over C
-itself, which is spent once factored: one triangular solve against an
-identity written over C gives R^-1 in place, LAPACK dlauum turns it in
-place into R^-T R^-1 = C^-1 (lower triangle),
-tr(C^-1) is read off its diagonal, and one BLAS dsymm adds -phi G onto
-the outer-product term of phibar. Each step is O(n 2m min(n, 2m)).
-LAPACK dpotri would form C^-1 in one call, but the solve is kept
-because the benchmark's tracer measures it by the name
-training.solve_triangular; dropping that name is a change to the
-benchmark first.
+with level-3 kernels, never by triangular solves against phi, over the
+factor R, which is spent once alpha2 and log|C| are taken:
+linalg.inverse_factored inverts R in place by the recursive dtrmm
+inverse and turns R^-1 in place into the lower triangle of
+R^-T R^-1 = C^-1 by LAPACK dlauum. tr(C^-1) is read off its diagonal,
+and one BLAS dsymm adds -phi G onto the outer-product term of phibar.
+Each step is O(n 2m min(n, 2m)). The module still imports scipy's
+solve_triangular, uncalled, because the benchmark's tracer wraps it by
+the name training.solve_triangular; that span reads 0 calls until the
+benchmark drops it.
 
 train owns one StepWorkspace for all its steps, so no step allocates a
 large array or faults freed pages back in: lml_gradient writes into it
 the trig pairs (one feature-map call leaves each set's pair in
-work.pairs for the chain rule), phi, C (then the identity that becomes
-C^-1), its factor and the outer product that becomes phibar, so a step
-holds two k x k arrays. Nothing returned aliases it, and train drops
-it before fit_state and keeps no name for the features it passes there,
-so a fit's peak is the larger of one step and fit_state's A and its
-factor.
+work.pairs for the chain rule), phi, C (which gram keeps), its factor
+(which becomes C^-1) and the outer product that becomes phibar, so a
+step holds two k x k arrays, plus the inverse's block copies of about
+k^2 / 2 doubles while it runs. Nothing returned aliases it, and train
+drops it before fit_state and keeps no name for the features it passes
+there, so a fit's peak is the larger of one step and fit_state's A and
+its factor.
 
 train holds the parameters as one vector theta = [log sigma_f^2,
 log sigma_n^2, the trained frequency sets raveled in bank order], and
@@ -69,13 +70,15 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+# not called: perfbench/tracer.py wraps training.solve_triangular by name
+# when a traced run starts, and its selftest checks the wrap, so the name
+# stays until the benchmark drops that span
+from scipy.linalg import solve_triangular  # noqa: F401
 from scipy.linalg.blas import dsymm
-from scipy.linalg.lapack import dlauum
 
 from . import linalg, model
 from .data import Dataset, validation_rows
-from .errors import FactorizationFailed, NonFiniteLoss
+from .errors import NonFiniteLoss
 from .features import (FeatureBuffers, check_input_dim, features_for_mode,
                        ridge_multiplier)
 from .measures import (FrequencyBank, GaussianSE, check_spec_dim,
@@ -186,7 +189,9 @@ def log_variance_grads(ridge, sigma_n2, yy, a1_sq, a2_sq, tr_g, m, n):
 
 class StepWorkspace(FeatureBuffers):
     """lml_gradient's buffers for n rows and m frequencies, whatever the
-    mode: a pair for each of up to two banks, so no mode can share one."""
+    mode: a pair for each of up to two banks, so no mode can share one.
+    ``gram`` keeps the k x k system C; ``chol`` holds its factor, then
+    the lower triangle of C^-1."""
 
     def __init__(self, n, m):
         super().__init__(n, m, 2)
@@ -214,19 +219,9 @@ def lml_gradient(x, y, bank, hyper, frequencies=True, work=None):
     core = model.reduced_core(phi, y, hyper, work)
     chol, alpha2 = core["chol"], core["alpha2"]
     k = chol.shape[0]
-    # C is spent once factored (only cholesky's jitter retries read it), so
-    # the identity is written over it; the Gram buffer's transpose is
-    # Fortran-ordered, so the solve overwrites it in place
-    eye = work.gram.T
-    eye.fill(0.0)
-    np.fill_diagonal(eye, 1.0)
-    rinv = solve_triangular(chol, eye, lower=True,
-                            check_finite=False, overwrite_b=True)
-    # rinv is Fortran-ordered, so dlauum overwrites it with the lower
-    # triangle of C^-1; its upper triangle stays zero and dsymm never reads it
-    cinv, info = dlauum(rinv, lower=1, overwrite_c=1)
-    if info != 0:
-        raise FactorizationFailed(f"dlauum failed with info={info}")
+    # the factor is spent once alpha2 and log|C| are taken, so C^-1 is
+    # formed over it; its upper triangle stays zero and dsymm never reads it
+    cinv = linalg.inverse_factored(chol)
     tr_g = float(np.trace(cinv)) + (2 * m - k) / core["ridge"]
     grad = np.empty(2 + frequencies * bank.banks * bank.omega1.size)
     grad[:2] = log_variance_grads(core["ridge"], hyper.sigma_n2, core["yy"],

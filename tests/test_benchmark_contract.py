@@ -90,16 +90,17 @@ def test_every_name_the_benchmark_uses_resolves(script, module, attr):
 
 @pytest.mark.parametrize("mode", ["stationary_learned", "nonstationary_learned"])
 def test_a_gradient_step_makes_one_inverse_and_no_wide_solves(monkeypatch, mode):
-    # the traced span training.solve_triangular measures the one explicit
-    # R^-1 of a step; phi G comes from GEMM-class kernels, so no linalg
-    # solve may take n right-hand sides. The step factors the smaller of
-    # the 2m x 2m and n x n Gram systems once and takes alpha2 from that
-    # factor by one one-column solve.
+    # a step forms C^-1 by one linalg.inverse_factored over its spent
+    # factor and makes no triangular solve of its own: the traced span
+    # training.solve_triangular reads 0 calls. phi G comes from GEMM-class
+    # kernels, so no linalg solve may take n right-hand sides. The step
+    # factors the smaller of the 2m x 2m and n x n Gram systems once and
+    # takes alpha2 from that factor by one one-column solve.
     from spectral_rff import linalg, training
     from spectral_rff.measures import FrequencyBank
     from spectral_rff.model import Hyperparams
 
-    inverses, columns, factored, factors = [], [], [], []
+    solves, inverses, columns, factored, factors = [], [], [], [], []
 
     def counting(real, log):
         def wrapper(r, b, **kwargs):
@@ -107,22 +108,24 @@ def test_a_gradient_step_makes_one_inverse_and_no_wide_solves(monkeypatch, mode)
             return real(r, b, **kwargs)
         return wrapper
 
-    def counting_factor(real):
+    def counting_shape(real, log):
         def wrapper(a, *args, **kwargs):
-            factors.append(np.shape(a))
+            log.append(np.shape(a))
             return real(a, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(training, "solve_triangular",
-                        counting(training.solve_triangular, inverses))
+                        counting(training.solve_triangular, solves))
+    monkeypatch.setattr(linalg, "inverse_factored",
+                        counting_shape(linalg.inverse_factored, inverses))
     for name in ("solve_lower", "solve_upper"):
         monkeypatch.setattr(linalg, name, counting(getattr(linalg, name), columns))
     monkeypatch.setattr(linalg, "solve_factored",
                         counting(linalg.solve_factored, factored))
-    monkeypatch.setattr(linalg, "cholesky", counting_factor(linalg.cholesky))
+    monkeypatch.setattr(linalg, "cholesky", counting_shape(linalg.cholesky, factors))
     rng = np.random.default_rng(5)
     for n, m in ((50, 30), (80, 30)):   # 2m > n and n > 2m
-        for log in (inverses, columns, factored, factors):
+        for log in (solves, inverses, columns, factored, factors):
             log.clear()
         omega = [rng.standard_normal((m, 1)) for _ in range(2)]
         bank = (FrequencyBank(omega[0], stationary=True) if mode == "stationary_learned"
@@ -130,10 +133,10 @@ def test_a_gradient_step_makes_one_inverse_and_no_wide_solves(monkeypatch, mode)
         x = rng.uniform(-1.0, 1.0, (n, 1))
         training.lml_gradient(x, np.sin(3.0 * x[:, 0]), bank,
                               Hyperparams.from_variances(1.0, 0.1))
-        assert len(inverses) == 1
+        assert solves == []
+        assert inverses == factors == [(min(n, 2 * m),) * 2]
         assert all(c == 1 for c in columns)
         assert factored == [1]
-        assert factors == [(min(n, 2 * m),) * 2]
 
 
 def state_reads(script, function):

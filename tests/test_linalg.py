@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotri
 
 from spectral_rff import linalg
 from spectral_rff.errors import (DimensionMismatch, FactorizationFailed,
@@ -125,10 +126,51 @@ def test_solve_factored_inverts_the_factored_matrix(rng):
         linalg.solve_factored(r, np.ones((5, 1, 1)))
 
 
+LEAF = linalg.INVERSE_LEAF
+INVERSE_ORDERS = (1, 2, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 378, 600)
+CONDITIONS = (1e2, 1e6, 1e10)
+
+
+def spd_factor(k, cond, seed):
+    """Cholesky factor of a random symmetric positive definite k x k
+    matrix whose eigenvalues run geometrically from 1 down to 1 / cond."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    a = (q * np.geomspace(1.0, 1.0 / cond, k)) @ q.T
+    r, jitter = linalg.cholesky((a + a.T) / 2)
+    assert jitter == 0.0
+    return r
+
+
 def test_inverse_lower_matches_a_triangular_solve(rng):
     b = rng.standard_normal((6, 6))
     r, _ = linalg.cholesky(b @ b.T + 6 * np.eye(6))
     np.testing.assert_allclose(linalg.inverse_lower(r) @ r, np.eye(6), atol=1e-12)
+    # across the recursion's leaf boundaries and conditioning: the
+    # left residual of a triangular inverse is at most c k u |R^-1| |R|
+    # componentwise (Du Croz and Higham 1992), here with c = 1
+    for k in INVERSE_ORDERS:
+        for i, cond in enumerate(CONDITIONS):
+            r = spd_factor(k, cond, seed=10 * k + i)
+            rinv = linalg.inverse_lower(r)
+            assert rinv.flags.f_contiguous and not np.shares_memory(rinv, r)
+            assert not np.any(np.triu(rinv, 1))
+            bound = k * np.finfo(float).eps * (np.abs(rinv) @ np.abs(r))
+            assert np.all(np.abs(rinv @ r - np.eye(k)) <= bound), (k, cond)
+
+
+@pytest.mark.parametrize("k", INVERSE_ORDERS)
+def test_inverse_factored_matches_dpotri_in_place(k):
+    for i, cond in enumerate(CONDITIONS):
+        r = spd_factor(k, cond, seed=10 * k + i)
+        ref, info = dpotri(r, lower=1)
+        assert info == 0
+        ref = np.tril(ref)
+        cinv = linalg.inverse_factored(r)
+        assert np.shares_memory(cinv, r)
+        assert not np.any(np.triu(cinv, 1))
+        gap = np.max(np.abs(cinv - ref))
+        assert gap <= 1e-13 * np.max(np.abs(ref)), (k, cond, gap)
 
 
 def test_cholesky_jitter_rescues_singular_matrix():

@@ -1,6 +1,7 @@
 """Gradient correctness, dropout semantics, optimizer loop behavior."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -211,21 +212,19 @@ def test_a_reused_workspace_gives_the_fresh_step_bit_for_bit(mode, n, m):
 
 
 @pytest.mark.parametrize("n,m", [(60, 12), (20, 15)])
-def test_the_step_overwrites_its_identity_and_outer_product_in_place(n, m):
-    # f2py copies an array of the wrong order without a word: a solve,
+def test_the_step_overwrites_its_factor_and_outer_product_in_place(n, m):
+    # f2py copies an array of the wrong order without a word: an inverse,
     # dlauum or dsymm that stopped writing in place would leave the
-    # workspace holding the identity and the plain outer product
+    # workspace holding the factor and the plain outer product
     mode = NONSTATIONARY_LEARNED
     x, y, bank, hyper, _ = workspace_instance(mode, n, m)
     work = training.StepWorkspace(n, m)
     _, grad, _ = lml_gradient(x, y, bank, hyper, work=work)
-    chol = work.chol
-    # the identity is written over the spent Gram system, through its
-    # Fortran-ordered transpose
-    eye = work.gram.T
-    np.testing.assert_allclose(np.tril(eye), np.tril(np.linalg.inv(chol @ chol.T)),
-                               rtol=1e-8, atol=1e-8 * np.max(np.abs(eye)))
-    assert not np.any(np.triu(eye, 1))
+    # the Gram buffer keeps C, and C^-1 is written over its spent factor
+    cinv = work.chol
+    np.testing.assert_allclose(np.tril(cinv), np.tril(np.linalg.inv(work.gram)),
+                               rtol=1e-8, atol=1e-8 * np.max(np.abs(cinv)))
+    assert not np.any(np.triu(cinv, 1))
     # the outer-product buffer holds phibar: the chain rule gives the
     # returned gradients from it bit for bit
     cbar, sbar = work.outer[:, :m], work.outer[:, m:]
@@ -233,6 +232,25 @@ def test_the_step_overwrites_its_identity_and_outer_product_in_place(n, m):
     features_for_mode(x, bank, buffers)
     for (c, s), dw in zip(buffers.pairs, grad[2:].reshape(2, m, -1)):
         np.testing.assert_array_equal((sbar * c - cbar * s).T @ x, dw)
+
+
+@pytest.mark.parametrize("n,m", [(700, 300), (300, 300)])   # n >= 2m and n < 2m
+def test_a_step_allocates_at_most_half_a_gram_system_beyond_its_workspace(n, m):
+    # the recursive inverse's f2py block copies are the one allocation of
+    # order k^2 a step makes; cli._check_fit_memory counts (2m)^2 / 2
+    # doubles for them
+    x, y, bank, hyper, _ = workspace_instance(NONSTATIONARY_LEARNED, n, m)
+    work = training.StepWorkspace(n, m)
+    lml_gradient(x, y, bank, hyper, work=work)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lml_gradient(x, y, bank, hyper, work=work)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    k = min(n, 2 * m)
+    assert peak <= 8 * (k * k // 2 + 16 * (n + 2 * m))
 
 
 def test_fixed_mode_reports_no_frequency_gradients():
