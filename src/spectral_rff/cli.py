@@ -11,6 +11,14 @@ SPECTRAL_RFF_THREADS cap has to reach the environment before that. That
 stack is numpy and scipy.linalg; scipy.stats loads only on the first
 copula or quantile call, so no fit or predict pays for it unless it
 uses one.
+
+The query commands stream. predict and grid share one block pipeline
+(_write_predictions): blocks of whole predict chunks, read from the CSV
+or made from the grid's axes, are standardized, predicted and written
+with running row numbers to a partial file that is renamed into place,
+or removed on any error with the --out-dir the call made. kernel-dump
+maps each anchor's window a chunk at a time, with the anchor at the
+head of every block. Each size guard counts what its command holds.
 """
 
 import argparse
@@ -67,8 +75,10 @@ def _check_fit_memory(n, m, what):
     doubles for the block copies of a step's recursive inverse. A fit
     holds the larger of the step, which adds two k x k arrays and at
     most k^2 / 2 doubles of copies with k = min(n, 2m), and fit_state,
-    so this sum is the conservative bound."""
-    _check_memory(16 * m * (4 * n + 5 * m), what)
+    so this sum is the conservative bound. It also counts the median
+    heuristic's r(r - 1)/2 pairwise differences of r <= min(n, 1000) rows."""
+    r = min(n, 1000)   # median_heuristic_lengthscales' max_rows
+    _check_memory(16 * m * (4 * n + 5 * m) + 4 * r * (r - 1), what)
 
 
 def apply_thread_cap(environ=os.environ):
@@ -274,11 +284,44 @@ def _predict_data_units(state, x, work=None, first_row=0, row="data row"):
     return data.destandardize_predictions(mean, var, st)
 
 
+def _write_predictions(args, name, state, blocks, cols, row="data row", fields=()):
+    """Predict each block of ``blocks(rows)`` and write it with its means
+    and variances to ``name`` in --out-dir, a block at a time, so memory
+    stays flat in the row count; ``fields``, if given, are filled with
+    every mean and variance. The rows go to a partial file that becomes
+    the output only once all are written. On any error it is removed,
+    and --out-dir too if this call made it. Returns the rows written."""
+    from . import data, model
+
+    work = model.PredictWorkspace(state)
+    # blocks of whole chunks, so each row is computed as in one call over
+    # all rows; as many chunks as one write chunk holds, as 256-row blocks
+    # were about 5% slower at m = 150
+    rows = work.rows * max(1, data.CHUNK_ROWS // work.rows)
+
+    def predicted():
+        for i, x in enumerate(blocks(rows)):
+            mean, var = _predict_data_units(state, x, work, i * rows, row)
+            for field, values in zip(fields, (mean, var)):
+                field[i * rows:i * rows + len(x)] = values
+            yield x, mean, var
+
+    made = not os.path.isdir(args.out_dir)
+    path = os.path.join(_outdir(args), name)
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        written = data.write_predictions_csv(partial, predicted(), cols)
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        if made:
+            os.rmdir(args.out_dir)
+        raise
+    return written
+
+
 def cmd_predict(args):
-    """Stream the query a block at a time through the reader, the model
-    and the writer, so memory stays flat in its row count. The rows go to
-    a partial file that becomes predictions.csv only once all are written,
-    and that is removed on any error."""
     from . import data, model
 
     state = model.load_model(args.model)
@@ -292,24 +335,8 @@ def cmd_predict(args):
     if len(cols) != state.bank.dim:
         raise SchemaMismatch(f"model expects {state.bank.dim} input columns, "
                              f"file provides {len(cols)}")
-    work = model.PredictWorkspace(state)
-    # blocks of whole chunks, so each row is computed as in one call over
-    # all rows; as many chunks as one write chunk holds, as 256-row blocks
-    # were about 5% slower at m = 150
-    rows = work.rows * max(1, data.CHUNK_ROWS // work.rows)
-    blocks = data.read_blocks(args.data, cols, rows)
-    predicted = ((x, *_predict_data_units(state, x, work, i * rows))
-                 for i, x in enumerate(blocks))
-    _outdir(args)
-    path = _out(args, "predictions.csv")
-    partial = f"{path}.{os.getpid()}.partial"
-    try:
-        written = data.write_predictions_csv(partial, predicted, cols)
-        os.replace(partial, path)
-    except BaseException:
-        if os.path.exists(partial):
-            os.remove(partial)
-        raise
+    written = _write_predictions(args, "predictions.csv", state,
+                                 lambda rows: data.read_blocks(args.data, cols, rows), cols)
     _log(f"predict: wrote {written} rows")
     return 0
 
@@ -329,6 +356,8 @@ def _parse_grid(token):
 
 
 def cmd_grid(args):
+    import numpy as np
+
     from . import data, model
 
     state = model.load_model(args.model)
@@ -336,18 +365,26 @@ def cmd_grid(args):
     if len(spec.counts) != state.bank.dim:
         raise SchemaMismatch(f"model expects {state.bank.dim} grid axes, "
                              f"got {len(spec.counts)}")
-    # the grid, its standardized copy and four output columns; the request
-    # is named by its flag, as a count past 4,300 digits has no str()
-    _check_memory(8 * math.prod(spec.counts) * (2 * spec.dim + 4), f"--grid {args.grid}")
-    x = data.make_grid(spec)
-    mean, var = _predict_data_units(state, x, row=f"--grid {args.grid!r}: grid point")
+    # the axes; R and R^-1 with its recursion's block copies; a 2-d grid's
+    # mean and variance fields and write_pgm's temporaries, two doubles
+    # and two bytes a point; one chunk's (cos, sin) pair and feature block,
+    # 4m doubles a row; and 12 doubles per input and output column of a
+    # block's points (whole chunks of at most CHUNK_ROWS rows or one
+    # chunk, and a merged point) for their indices, copies and written
+    # text. The request is named by its flag, as a count past 4,300
+    # digits has no str()
+    m, chunk, total = state.bank.m, model._chunk_rows(state.bank.m), math.prod(spec.counts)
+    _check_memory(8 * sum(spec.counts) + 20 * (2 * m) ** 2 + 34 * total * (spec.dim == 2)
+                  + 32 * m * chunk + 96 * (spec.dim + 2) * (max(data.CHUNK_ROWS, chunk) + 1),
+                  f"--grid {args.grid}")
+    fields = (np.empty(total), np.empty(total)) if spec.dim == 2 else ()
     cols = state.input_columns or [f"x{i + 1}" for i in range(state.bank.dim)]
-    _outdir(args)
-    data.write_predictions_csv(_out(args, "grid.csv"), [(x, mean, var)], cols)
-    if len(spec.counts) == 2:
-        data.write_pgm(_out(args, "mean.pgm"), mean.reshape(spec.counts))
-        data.write_pgm(_out(args, "variance.pgm"), var.reshape(spec.counts))
-    _log(f"grid: wrote {x.shape[0]} rows")
+    written = _write_predictions(args, "grid.csv", state,
+                                 lambda rows: data.grid_blocks(spec, rows), cols,
+                                 f"--grid {args.grid!r}: grid point", fields)
+    for name, field in zip(("mean.pgm", "variance.pgm"), fields):
+        data.write_pgm(_out(args, name), field.reshape(spec.counts))
+    _log(f"grid: wrote {written} rows")
     return 0
 
 
@@ -369,11 +406,13 @@ def cmd_kernel_dump(args):
 
     from . import data, model
     from .data import GridSpec
-    from .features import features_for_mode, kernel_cross
+    from .features import FeatureBuffers, features_for_mode, kernel_cross
 
     state = model.load_model(args.model)
+    d, m = state.bank.dim, state.bank.m
+    if d > 2:
+        raise InvalidSpec(f"kernel-dump writes 1-d or 2-d fields; the model has {d} inputs")
     anchors = _parse_anchors(args.anchors)
-    d = state.bank.dim
     if len(anchors[0]) != d:
         raise SchemaMismatch(f"model expects {d}-dimensional anchors, "
                              f"got {len(anchors[0])}")
@@ -387,25 +426,34 @@ def cmd_kernel_dump(args):
         if not all(a - w < a + w and math.isfinite((a + w) - (a - w)) for a in anchor):
             raise InvalidSpec(f"--window {w!r} around anchor {name}: a - w and "
                               f"a + w must differ and lie a finite span apart")
-    # per anchor: grid, meshes, standardized copy, features and one (cos,
-    # sin) pair; and every anchor's field, as none is written before all
-    # are checked
-    _check_memory(8 * args.count ** d * (4 * d + 4 * state.bank.m + len(anchors)),
+    # every anchor's field, as none is written before all are checked,
+    # and write_pgm's temporaries, two doubles and two bytes a point; one
+    # window's axes; R; and a block of the anchor, a chunk and a merged
+    # point, counted as grid's and with the feature block's finite test,
+    # 34m bytes a row, which also covers the matrix writer's text
+    total, chunk = args.count ** d, model._chunk_rows(m)
+    _check_memory(8 * total * len(anchors) + 18 * total + 8 * d * args.count + 8 * (2 * m) ** 2
+                  + (chunk + 2) * (34 * m + 96 * (d + 2)),
                   f"kernel-dump with --count {args.count}")
+    buffers = FeatureBuffers(chunk + 2, m, 1)
     fields = []
     for anchor, name in zip(anchors, names):
         a = np.asarray(anchor, dtype=float)
         spec = GridSpec(a - w, a + w, (args.count,) * d)
-        pts = np.vstack([a.reshape(1, -1), data.make_grid(spec)])
         row = f"--anchors {name} with --window {w!r}: point"
-        if state.standardization is not None:
-            pts = _standardized(pts, state.standardization, row=row)
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi = features_for_mode(pts, state.bank)
-        _refuse_first(~np.isfinite(phi.phi).all(axis=1), 0, row, _OVERFLOWS_ANGLE)
-        phi_a = type(phi)(phi.phi[:1], phi.m, phi.banks)
-        phi_g = type(phi)(phi.phi[1:], phi.m, phi.banks)
-        field = kernel_cross(phi_a, phi_g, state.hyper.sigma_f2)[0]
+        field = np.empty(total)
+        # the anchor heads every block, so no map is of one row, and the
+        # window's rows, from a multiple of the chunk on, follow it
+        for lo, block in zip(range(0, total, chunk), data.grid_blocks(spec, chunk)):
+            pts = np.vstack([a.reshape(1, -1), block])
+            if state.standardization is not None:
+                pts = _standardized(pts, state.standardization, lo, row)
+            with np.errstate(over="ignore", invalid="ignore"):
+                phi = features_for_mode(pts, state.bank, buffers)
+            _refuse_first(~np.isfinite(phi.phi).all(axis=1), lo, row, _OVERFLOWS_ANGLE)
+            phi_a = type(phi)(phi.phi[:1], phi.m, phi.banks)
+            phi_g = type(phi)(phi.phi[1:], phi.m, phi.banks)
+            field[lo:lo + len(block)] = kernel_cross(phi_a, phi_g, state.hyper.sigma_f2)[0]
         fields.append(field.reshape(spec.counts) if d > 1 else field.reshape(1, -1))
     _outdir(args)
     for idx, mat in enumerate(fields):

@@ -15,6 +15,10 @@ raises: every error keeps its type, its message and its data row number
 in the whole file. On a 200,000-row, one-column query the block reader
 took 69 ms where the per-cell reader alone took 168 ms (best of 9, one
 AVX-512 Xeon core).
+
+Grids are made a block of points at a time (grid_blocks) from their
+np.linspace axes, so a grid of n points in D dimensions is never held
+whole; only its axes are.
 """
 
 import csv
@@ -28,9 +32,10 @@ import numpy as np
 from .errors import (ConstantColumn, DegenerateSplit, EmptyFile,
                      MalformedCsv, MissingColumn, NonNumericCell)
 
-# rows the table writers format per write, which bounds their working
-# memory; read_table parses blocks of as many rows, and predict streams
-# blocks of at most this many rows unless one predict chunk is longer
+# rows (or matrix values) the writers format per write, which bounds
+# their working memory; read_table parses blocks of as many rows, and
+# predict and grid stream blocks of at most this many rows unless one
+# predict chunk is longer
 CHUNK_ROWS = 4096
 
 
@@ -318,19 +323,28 @@ def split(dataset, train_fraction, seed):
     return make(tr), make(te)
 
 
-def make_grid(spec):
-    """Row-major Cartesian grid: first dimension varies slowest."""
+def grid_blocks(spec, rows):
+    """Yield the row-major Cartesian grid (first dimension slowest) as
+    (rows, D) blocks of points, indexed into the np.linspace axes, which
+    alone are held whole. A single point left over joins the block before
+    it, so no block has one point: numpy maps a lone row through gemv,
+    whose bits can differ from the same row inside a longer block."""
     axes = [np.linspace(lo, hi, c)
             for lo, hi, c in zip(spec.mins, spec.maxs, spec.counts)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    total = math.prod(spec.counts)
+    for lo in range(0, total - 1, rows):
+        hi = lo + rows if total - lo - rows > 1 else total
+        idx = np.unravel_index(np.arange(lo, hi), spec.counts)
+        yield np.stack([axis[i] for axis, i in zip(axes, idx)], axis=1)
 
 
 def write_matrix_csv(path, matrix):
+    """One line per row, written CHUNK_ROWS values at a time."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for row in matrix:
-            fh.write(",".join(_fmt(v) for v in row))
+            for lo in range(0, len(row), CHUNK_ROWS):
+                fh.write("," * (lo > 0) + ",".join(_fmt(v) for v in row[lo:lo + CHUNK_ROWS]))
             fh.write("\n")
 
 

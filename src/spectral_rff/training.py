@@ -163,18 +163,25 @@ def median_heuristic_lengthscales(x, max_rows=1000):
     """Per-dimension median of pairwise absolute differences.
 
     Rows are subsampled with an even stride above ``max_rows`` so the
-    estimate stays deterministic and O(max_rows^2).
+    estimate stays deterministic and O(max_rows^2). The r(r - 1)/2
+    differences of r rows fill one vector, row by row; |a - b| is exact
+    in either order and the median depends on no order, so this gives
+    the bits of the upper triangle of the r x r difference matrix.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] > max_rows:
         stride = int(np.ceil(x.shape[0] / max_rows))
         x = x[::stride]
+    r = x.shape[0]
+    dist = np.empty(r * (r - 1) // 2)
     out = np.empty(x.shape[1])
     for d in range(x.shape[1]):
-        col = x[:, d]
-        dist = np.abs(col[:, None] - col[None, :])
-        dist = dist[np.triu_indices_from(dist, k=1)]
-        med = float(np.median(dist)) if dist.size else 0.0
+        col, lo = x[:, d], 0
+        for i in range(r - 1):
+            np.subtract(col[i + 1:], col[i], out=dist[lo:lo + r - 1 - i])
+            lo += r - 1 - i
+        np.abs(dist, out=dist)
+        med = float(np.median(dist, overwrite_input=True)) if dist.size else 0.0
         out[d] = med if med > 0 else 1.0
     return out
 

@@ -281,6 +281,102 @@ def test_predict_memory_is_flat_in_the_query_rows(sine_csv, tmp_path):
     assert large <= small + 16 * 2 ** 10, (small, large)
 
 
+def wide_model(sine_csv, tmp_path):
+    """A one-input model at m = 150, whose 256-row predict chunks are
+    shorter than a 4,096-row block."""
+    out = tmp_path / "wide"
+    argv = fit_args(sine_csv, out)
+    argv[argv.index("--m") + 1] = "150"
+    assert run_cli(argv) == 0
+    return out / "model.json"
+
+
+def traced_command(monkeypatch, argv):
+    """Run one successful command under tracemalloc; returns the bytes its
+    size guard checked, the most it allocated after the guard ran, and
+    its whole peak."""
+    seen = {}
+    check = cli._check_memory
+
+    def guard(nbytes, what):
+        check(nbytes, what)
+        seen["guard"] = nbytes
+        seen["held"], seen["before"] = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(cli, "_check_memory", guard)
+    tracemalloc.start()
+    try:
+        assert run_cli([*map(str, argv)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return seen["guard"], peak - seen["held"], max(peak, seen["before"])
+
+
+@pytest.mark.parametrize("planar,flag,small,large,held", [
+    (False, "--grid", "0:1:20000", "0:1:200000", 8),
+    (False, "--count", "20000", "100000", 2 * 8 + 18),
+    (True, "--count", "61", "300", 8 + 18),
+], ids=["grid", "kernel-dump-1d", "kernel-dump-2d"])
+def test_grid_and_kernel_dump_memory_grows_only_by_what_they_hold_per_point(
+        monkeypatch, sine_csv, tmp_path, planar, flag, small, large, held):
+    # a grid held its whole mesh, a standardized copy and four output
+    # columns, and kernel-dump mapped each anchor's whole window, 2m
+    # doubles a point: 868 MB at --count 300, m = 300 in 2-d. Now the
+    # peak grows only by what is held per point: a 1-d grid's axis, and
+    # each anchor's field with write_pgm's temporaries (held bytes a point)
+    if planar:
+        model_path, anchors = field_model(tmp_path), "0.3,0.4"
+    else:
+        model_path, anchors = fitted_model(sine_csv, tmp_path), "0.2;0.7"
+    base = (["grid", "--model", model_path] if flag == "--grid" else
+            ["kernel-dump", "--model", model_path, "--anchors", anchors])
+
+    def peak(value):
+        return traced_command(monkeypatch, [*base, flag, value, "--out-dir", tmp_path / "out"])[2]
+
+    points = lambda value: int(value.rsplit(":", 1)[-1]) ** (2 if planar else 1)
+    peak(small)                     # first-use caches
+    lo, hi = peak(small), peak(large)
+    assert hi <= lo + held * (points(large) - points(small)) + 64 * 2 ** 10, (lo, hi)
+
+
+@pytest.mark.parametrize("kind,argv", [
+    ("line", ["grid", "--grid", "0:1:60000"]),
+    ("plane", ["grid", "--grid", "0:1:200,0:1:150"]),
+    ("wide", ["grid", "--grid", "0:1:20000"]),
+    ("line", ["kernel-dump", "--anchors", "0.2;0.7", "--count", "100000"]),
+    ("plane", ["kernel-dump", "--anchors", "0.3,0.4", "--count", "300"]),
+    ("wide", ["kernel-dump", "--anchors", "0.2;0.5;0.8", "--count", "20000"]),
+], ids=["grid-1d", "grid-2d", "grid-m150", "kernel-dump-1d", "kernel-dump-2d",
+        "kernel-dump-m150"])
+def test_grid_and_kernel_dump_guards_cover_what_they_allocate(
+        monkeypatch, sine_csv, tmp_path, kind, argv):
+    model_path = {"line": fitted_model, "wide": wide_model,
+                  "plane": lambda _, path: field_model(path)}[kind](sine_csv, tmp_path)
+    argv = [argv[0], "--model", model_path, *argv[1:], "--out-dir", tmp_path / "out"]
+    traced_command(monkeypatch, argv)   # first-use caches
+    guard, allocated, _ = traced_command(monkeypatch, argv)
+    assert allocated <= guard, (allocated, guard)
+
+
+@pytest.mark.parametrize("m", [5, 50])
+def test_a_fit_with_the_median_heuristic_peaks_under_its_guard(monkeypatch, tmp_path, m):
+    # the heuristic's 1,000-row difference matrix, triu_indices and
+    # selection took a 3,000-row fit to an 18.1 MB traced peak, against
+    # guards of 0.96 MB (m = 5) and 9.8 MB (m = 50)
+    rng = seeded_rng(4)
+    t = rng.uniform(0.0, 1.0, (3000, 1))
+    y = np.sin(8.0 * t[:, 0]) + 0.1 * rng.standard_normal(3000)
+    data.save_dataset_csv(tmp_path / "big.csv", data.Dataset(t, y, ["t"], "y"))
+    argv = ["fit", "--data", tmp_path / "big.csv", "--m", m, "--max-steps", "2",
+            "--out-dir", tmp_path / "fit"]
+    traced_command(monkeypatch, argv)   # first-use caches
+    guard, _, peak = traced_command(monkeypatch, argv)
+    assert peak <= guard, (peak, guard)
+
+
 def test_a_fits_memory_peak_is_one_steps_workspace(sine_csv, tmp_path):
     # the chirp benchmark's shape, 600 rows and 300 pairs with 378
     # gradient rows (n < 2m): the traced peak of a whole fit command is
@@ -409,6 +505,28 @@ def test_kernel_dump_writes_one_field_per_anchor(sine_csv, tmp_path):
     assert not (out / "kernel_anchor3.csv").exists()
 
 
+def test_kernel_dump_streams_the_bits_of_one_whole_window_product(sine_csv, tmp_path):
+    # 769 = 3 x 256 + 1 points at m = 150: three 256-row chunks and one
+    # point over, which joins the last block; alone, its product with the
+    # anchor goes through a dot product and can differ in the last bit
+    from spectral_rff.features import features_for_mode, kernel_cross
+
+    model_path = wide_model(sine_csv, tmp_path)
+    state = load_model(model_path)
+    assert model._chunk_rows(150) == 256
+    out = tmp_path / "dump"
+    assert run_cli(["kernel-dump", "--model", str(model_path), "--anchors", "0.2;0.5",
+                    "--window", "0.4", "--count", "769", "--out-dir", str(out)]) == 0
+    for i, a in enumerate((0.2, 0.5)):
+        pts = np.concatenate([[a], np.linspace(a - 0.4, a + 0.4, 769)]).reshape(-1, 1)
+        phi = features_for_mode(data.standardize_inputs(pts, state.standardization), state.bank)
+        whole = kernel_cross(type(phi)(phi.phi[:1], phi.m, phi.banks),
+                             type(phi)(phi.phi[1:], phi.m, phi.banks), state.hyper.sigma_f2)
+        data.write_matrix_csv(tmp_path / "whole.csv", whole)
+        assert (out / f"kernel_anchor{i}.csv").read_bytes() == \
+            (tmp_path / "whole.csv").read_bytes()
+
+
 def test_kernel_dump_flag_validation(sine_csv, tmp_path):
     model_path = fitted_model(sine_csv, tmp_path)
     base = ["kernel-dump", "--model", str(model_path),
@@ -420,13 +538,13 @@ def test_kernel_dump_flag_validation(sine_csv, tmp_path):
     assert run_cli(base + ["--anchors", "0.2,0.3;0.4"]) == 1
 
 
-@pytest.mark.parametrize("command,output", [
-    (["predict", "--data", "far.csv"], "predictions.csv"),
-    (["grid", "--grid", "0:inf:5"], "grid.csv"),
-    (["kernel-dump", "--anchors", "0.2", "--window", "inf"], "kernel_anchor0.csv"),
+@pytest.mark.parametrize("command", [
+    ["predict", "--data", "far.csv"],
+    ["grid", "--grid", "0:inf:5"],
+    ["kernel-dump", "--anchors", "0.2", "--window", "inf"],
 ], ids=["predict", "grid", "kernel-dump"])
 def test_non_finite_inputs_fail_with_one_line_and_no_output(
-        sine_csv, tmp_path, capsys, command, output):
+        sine_csv, tmp_path, capsys, command):
     # a finite 1e308 overflows when standardized; an infinite grid bound
     # or window spans no finite grid. Each used to exit 0 writing nan
     # fields, with numpy warnings on stderr.
@@ -441,7 +559,7 @@ def test_non_finite_inputs_fail_with_one_line_and_no_output(
                         "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
-    assert not (out / output).exists()
+    assert not out.exists()
     if command[0] == "predict":
         assert "data row 2" in err[0]
 
@@ -607,7 +725,7 @@ def test_an_overflowing_angle_fails_with_one_line_and_no_output(
         warnings.simplefilter("error")
         assert run_cli([*argv, "--model", str(model_path), "--out-dir", str(out)]) == 1
     assert_one_error_line(capsys, *words, "overflows its feature angles")
-    assert not out.exists() or list(out.glob("*")) == []
+    assert not out.exists()
 
 
 def test_kernel_dump_checks_every_anchor_before_writing_any_file(tmp_path, capsys):
@@ -634,6 +752,58 @@ def test_kernel_dump_checks_every_anchor_before_writing_any_file(tmp_path, capsy
     assert not out.exists()
 
 
+def test_query_commands_rerun_byte_identical(sine_csv, tmp_path):
+    # each command runs twice into fresh directories; a timestamp or an
+    # unseeded draw in any artifact fails this
+    line = fitted_model(sine_csv, tmp_path)
+    (tmp_path / "planar").mkdir()
+    plane = field_model(tmp_path / "planar")
+    write_query(tmp_path / "q.csv", np.linspace(-0.5, 1.5, 700))
+    commands = {
+        "predict": (["predict", "--model", line, "--data", tmp_path / "q.csv"],
+                    ["predictions.csv"]),
+        "grid-1d": (["grid", "--model", line, "--grid", "0:1:300"], ["grid.csv"]),
+        "grid-2d": (["grid", "--model", plane, "--grid", "0:1:9,0:1:7"],
+                    ["grid.csv", "mean.pgm", "variance.pgm"]),
+        "kernel-dump-1d": (["kernel-dump", "--model", line, "--anchors", "0.2;0.7",
+                            "--count", "41"],
+                           [f"kernel_anchor{i}.{ext}" for i in (0, 1) for ext in ("csv", "pgm")]),
+        "kernel-dump-2d": (["kernel-dump", "--model", plane, "--anchors", "0.3,0.4",
+                            "--count", "9"], ["kernel_anchor0.csv", "kernel_anchor0.pgm"]),
+        "spectrum": (["spectrum", "--spec", "matern:1.5", "--m", "16", "--dim", "2", "--pairs",
+                      "--seed", "2"], ["bank.json", "omega1.csv", "omega2.csv"]),
+    }
+    for name, (argv, files) in commands.items():
+        outs = [tmp_path / f"{name}-{run}" for run in (1, 2)]
+        for out in outs:
+            assert run_cli([*map(str, argv), "--out-dir", str(out)]) == 0, name
+            assert sorted(p.name for p in out.iterdir()) == sorted(files), name
+        for f in files:
+            assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes(), (name, f)
+
+
+def test_kernel_dump_refuses_more_than_two_inputs_and_grid_takes_them(tmp_path, capsys):
+    # a 3-input model ended in a TypeError traceback from write_matrix_csv,
+    # after part of kernel_anchor0.csv was written
+    rng = seeded_rng(2)
+    x = rng.uniform(0.0, 1.0, size=(60, 3))
+    y = np.sin(4.0 * x[:, 0]) + x[:, 1] - x[:, 2] + 0.05 * rng.standard_normal(60)
+    data.save_dataset_csv(tmp_path / "cube.csv", data.Dataset(x, y, ["a", "b", "c"], "y"))
+    fit = tmp_path / "fit"
+    assert run_cli(["fit", "--data", str(tmp_path / "cube.csv"), "--m", "4",
+                    "--max-steps", "2", "--out-dir", str(fit)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(["kernel-dump", "--model", str(fit / "model.json"), "--anchors",
+                    "0.5,0.5,0.5", "--count", "3", "--out-dir", str(out)]) == 1
+    assert_one_error_line(capsys, "1-d or 2-d", "3 inputs")
+    assert not out.exists()
+    assert run_cli(["grid", "--model", str(fit / "model.json"), "--grid",
+                    "0:1:3,0:1:4,0:1:5", "--out-dir", str(out)]) == 0
+    lines = (out / "grid.csv").read_text().splitlines()
+    assert lines[0] == "a,b,c,mean,variance" and len(lines) == 1 + 60
+
+
 def small_machine(monkeypatch, pages=1024):
     """Report a machine of ``pages`` 4 KiB pages to the size guard."""
     real = cli.os.sysconf
@@ -651,7 +821,9 @@ def test_size_guard_compares_against_physical_memory(monkeypatch):
 def test_oversized_requests_fail_in_one_line_before_allocating(
         monkeypatch, sine_csv, tmp_path, capsys):
     # on a 4 MiB machine each request below is refused; without the guard
-    # none would allocate more than a few tens of MB. The guard once sized
+    # none would allocate more than a few tens of MB. A streamed 1-d grid
+    # holds its axis, 8 bytes a point, and at this m passes the guard up
+    # to 210,268 points (200,000 runs in the flatness test). The guard once sized
     # a fit from a bank by the default m = 100, which fits, and let the
     # 1,000-frequency bank train.
     model_path = fitted_model(sine_csv, tmp_path)
@@ -664,7 +836,7 @@ def test_oversized_requests_fail_in_one_line_before_allocating(
     for argv in (["fit", "--data", sine_csv, "--m", "1024"],
                  ["fit", "--data", sine_csv, "--mode", "stationary-fixed",
                   "--spec", str(bank), "--max-steps", "2"],
-                 ["grid", "--model", str(model_path), "--grid", "0:1:200000"],
+                 ["grid", "--model", str(model_path), "--grid", "0:1:250000"],
                  ["spectrum", "--spec", "se", "--m", "300000"],
                  ["kernel-dump", "--model", str(model_path), "--anchors", "0.5",
                   "--count", "100000"]):

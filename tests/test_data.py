@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spectral_rff import data
 from spectral_rff.data import (Dataset, GridSpec, StandardizationStats,
-                               destandardize_predictions, load_csv, make_grid,
+                               destandardize_predictions, grid_blocks, load_csv,
                                read_table, save_dataset_csv, split,
                                standardize, standardize_inputs,
                                write_matrix_csv, write_pgm,
@@ -179,13 +179,27 @@ def test_grid_spec_validation():
     assert GridSpec((0.0, 1.0), (1.0, 2.0), (3, 4)).dim == 2
 
 
-def test_make_grid_is_row_major():
-    g = make_grid(GridSpec((0.0, 10.0), (1.0, 11.0), (2, 3)))
+def meshgrid_rows(spec):
+    """The whole grid as one meshgrid, the transcription grid_blocks replaced."""
+    axes = [np.linspace(lo, hi, c) for lo, hi, c in zip(spec.mins, spec.maxs, spec.counts)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def test_grid_blocks_are_row_major():
+    spec = GridSpec((0.0, 10.0), (1.0, 11.0), (2, 3))
     expected = np.array([[0.0, 10.0], [0.0, 10.5], [0.0, 11.0],
                          [1.0, 10.0], [1.0, 10.5], [1.0, 11.0]])
-    np.testing.assert_allclose(g, expected)
-    line = make_grid(GridSpec((2.0,), (3.0,), (5,)))
-    np.testing.assert_allclose(line[:, 0], np.linspace(2.0, 3.0, 5))
+    np.testing.assert_allclose(np.concatenate(list(grid_blocks(spec, 4))), expected)
+    for spec in (GridSpec((2.0,), (3.0,), (5,)), spec,
+                 GridSpec((-1.0, 0.0, 5.0), (1.0, 3.0, 6.0), (4, 3, 7))):
+        whole = meshgrid_rows(spec)
+        total = len(whole)
+        # total - 1 leaves one point over, as does 2 for the 5-point line
+        for rows in (2, 3, 5, total, total + 1, total - 1):
+            blocks = list(grid_blocks(spec, rows))
+            np.testing.assert_array_equal(np.concatenate(blocks), whole)
+            assert all(len(b) == rows for b in blocks[:-1]), (rows, total)
+            assert 2 <= len(blocks[-1]) <= rows + 1, (rows, total)
 
 
 def test_matrix_csv_round_trip(tmp_path):

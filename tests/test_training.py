@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_rff import data, features, linalg, model, training
 from spectral_rff.data import Dataset
@@ -381,6 +383,39 @@ def test_median_heuristic_hand_values():
     big = np.arange(2000.0).reshape(-1, 1)
     np.testing.assert_array_equal(median_heuristic_lengthscales(big),
                                   median_heuristic_lengthscales(big[::2]))
+
+
+def median_by_difference_matrix(x, max_rows=1000):
+    """The heuristic as it was written: each column's r x r difference
+    matrix, its upper triangle by triu_indices, and np.median."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[0] > max_rows:
+        x = x[::int(np.ceil(x.shape[0] / max_rows))]
+    out = np.empty(x.shape[1])
+    for d in range(x.shape[1]):
+        col = x[:, d]
+        dist = np.abs(col[:, None] - col[None, :])
+        dist = dist[np.triu_indices_from(dist, k=1)]
+        med = float(np.median(dist)) if dist.size else 0.0
+        out[d] = med if med > 0 else 1.0
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 120), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["normal", "ties", "constant", "wide"]), st.integers(2, 80))
+def test_median_heuristic_matches_the_difference_matrix_bit_for_bit(rows, dim, seed, kind,
+                                                                    max_rows):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, dim))
+    if kind == "ties":
+        x = np.round(x * 2.0) / 2.0
+    elif kind == "constant":
+        x[:, 0] = 3.25
+    elif kind == "wide":
+        x *= 10.0 ** rng.integers(-300, 300, size=dim)
+    np.testing.assert_array_equal(median_heuristic_lengthscales(x, max_rows),
+                                  median_by_difference_matrix(x, max_rows))
 
 
 def test_initial_bank_semantics():
